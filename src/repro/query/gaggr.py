@@ -6,7 +6,8 @@ baseline side of every runtime experiment.  :class:`ParallelGAggr` is
 the morsel-driven variant the planner builds when scan parallelism is
 enabled: workers fold disjoint bucket ranges into partial
 :class:`AggregationState` instances that merge deterministically, so the
-result is byte-identical to the serial fold.
+result is byte-identical to the serial fold.  It is the one-consumer case
+of :class:`~repro.query.morsel.FoldTask`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from repro.lang.predicate import Predicate
 from repro.obs.trace import NO_TRACER
 from repro.query.aggregation import AggregationState
 from repro.query.iterators import Operator
-from repro.query.parallel import ScanParallelism, make_morsels, run_morsels
+from repro.query.morsel import FoldSpec, FoldTask, dispatch_fold
+from repro.query.parallel import ScanParallelism, make_morsels
 from repro.query.query import OutputAggregate, QueryRows
 from repro.storage.table import Table
 
@@ -70,74 +72,19 @@ class ParallelGAggr:
         self.parallelism = parallelism
         self.tracer = tracer
 
-    def _morsel_task(self, morsel: list[int]):
-        def task() -> AggregationState:
-            stats = self.table.heap.pool.stats  # worker's child window
-            partial = AggregationState(
-                self.table.schema, self.group_by, self.aggregates
-            )
-            for bucket_no in morsel:
-                records = self.table.read_bucket(bucket_no)
-                stats.buckets_fetched += 1
-                stats.tuples_scanned += len(records)
-                mask = self.predicate.evaluate(records)
-                partial.consume_batch(records if mask.all() else records[mask])
-            return partial
-
-        return task
-
     def collect_state(self) -> AggregationState:
         """Advance a full :class:`AggregationState` without finalizing."""
-        state = AggregationState(self.table.schema, self.group_by, self.aggregates)
-        morsels = make_morsels(
-            range(self.table.num_buckets), self.parallelism.morsel_buckets
+        spec = FoldSpec(self.predicate, self.group_by, self.aggregates)
+        tasks = [
+            FoldTask(morsel, (spec,))
+            for morsel in make_morsels(
+                range(self.table.num_buckets), self.parallelism.morsel_buckets
+            )
+        ]
+        (state,) = dispatch_fold(
+            self.table, (spec,), tasks, self.parallelism, self.tracer, "scan_morsel"
         )
-        if self.parallelism.use_processes and len(morsels) > 1:
-            partials = self._process_partials(morsels)
-            if partials is not None:
-                with self.tracer.span("merge", attrs={"partials": len(partials)}):
-                    for partial in partials:
-                        state.merge(partial)
-                return state
-        tasks = [self._morsel_task(morsel) for morsel in morsels]
-        pool = self.table.heap.pool
-        partials = run_morsels(
-            pool,
-            tasks,
-            self.parallelism.workers,
-            tracer=self.tracer,
-            span_name="scan_morsel",
-        )
-        with self.tracer.span("merge", attrs={"partials": len(partials)}):
-            for partial in partials:
-                state.merge(partial)
         return state
-
-    def _process_partials(self, morsels) -> list[AggregationState] | None:
-        """Morsel partials via the worker-process pool (None = fall back)."""
-        from repro.query import procpool
-
-        payloads = [
-            procpool.gaggr_task(
-                self.table, self.predicate, self.group_by, self.aggregates, morsel
-            )
-            for morsel in morsels
-        ]
-        try:
-            results = procpool.run_process_morsels(
-                self.table,
-                payloads,
-                self.parallelism.workers,
-                tracer=self.tracer,
-                span_name="scan_morsel",
-            )
-        except procpool.ProcPoolBrokenError:
-            procpool.note_fallback()
-            return None
-        return [
-            procpool.partial_from_wire(r["state"], self.aggregates, self.group_by)
-            for r in results
-        ]
 
     def execute(self) -> QueryRows:
         return self.collect_state().finalize()

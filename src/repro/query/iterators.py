@@ -20,7 +20,8 @@ from repro.core.sma_set import SmaSet
 from repro.errors import ExecutionError
 from repro.lang.predicate import Predicate
 from repro.obs.trace import NO_TRACER
-from repro.query.parallel import ScanParallelism, make_morsels, run_morsels
+from repro.query.morsel import ScanTask, dispatch
+from repro.query.parallel import ScanParallelism, make_morsels
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -191,34 +192,13 @@ class MorselScan(Operator):
     def schema(self) -> Schema:
         return self.table.schema
 
-    def _morsel_task(self, morsel: list[int]):
-        qualifying = (
-            self.partitioning.qualifying if self.partitioning is not None else None
-        )
-
-        def task() -> list[np.ndarray]:
-            # pool.stats must resolve on the *worker* thread: inside the
-            # dispatcher it is the worker's private child window.
-            stats = self.table.heap.pool.stats
-            out: list[np.ndarray] = []
-            for bucket_no in morsel:
-                records = self.table.read_bucket(bucket_no)
-                stats.buckets_fetched += 1
-                stats.tuples_scanned += len(records)
-                if qualifying is not None and qualifying[bucket_no]:
-                    out.append(records)
-                else:
-                    mask = self.predicate.evaluate(records)
-                    out.append(records if mask.all() else records[mask])
-            return out
-
-        return task
-
     def batches(self) -> Iterator[np.ndarray]:
         pool = self.table.heap.pool
         if self.partitioning is None:
             bucket_nos = list(range(self.table.num_buckets))
+            qualifying = np.zeros(self.table.num_buckets, dtype=bool)
         else:
+            qualifying = self.partitioning.qualifying
             fetched = ~self.partitioning.disqualifying
             # The skip charge lands on the calling thread, so it needs
             # its own io-carrying span (worker spans only see fetches).
@@ -229,53 +209,11 @@ class MorselScan(Operator):
             ):
                 pool.stats.buckets_skipped += self.partitioning.num_disqualifying
             bucket_nos = [int(b) for b in np.flatnonzero(fetched)]
-        morsels = make_morsels(bucket_nos, self.parallelism.morsel_buckets)
-        if self.parallelism.use_processes and len(morsels) > 1:
-            parts = self._process_parts(morsels)
-            if parts is not None:
-                for part in parts:
-                    yield from part
-                return
-        tasks = [self._morsel_task(morsel) for morsel in morsels]
-        for part in run_morsels(
-            pool,
-            tasks,
-            self.parallelism.workers,
-            tracer=self.tracer,
-            span_name="scan_morsel",
+        tasks = [
+            ScanTask(morsel, qualifying[morsel].tolist(), self.predicate)
+            for morsel in make_morsels(bucket_nos, self.parallelism.morsel_buckets)
+        ]
+        for part in dispatch(
+            self.table, tasks, self.parallelism, self.tracer, "scan_morsel"
         ):
             yield from part
-
-    def _process_parts(self, morsels) -> list[list[np.ndarray]] | None:
-        """Filtered morsel batches via the process pool (None = fall back).
-
-        Batches travel back pickled — numpy record arrays round-trip
-        bit-exactly, so downstream results match the thread/serial scan
-        byte for byte.
-        """
-        from repro.query import procpool
-
-        qualifying = (
-            self.partitioning.qualifying if self.partitioning is not None else None
-        )
-        payloads = []
-        for morsel in morsels:
-            flags = [
-                bool(qualifying[b]) if qualifying is not None else False
-                for b in morsel
-            ]
-            payloads.append(
-                procpool.scan_task(self.table, self.predicate, morsel, flags)
-            )
-        try:
-            results = procpool.run_process_morsels(
-                self.table,
-                payloads,
-                self.parallelism.workers,
-                tracer=self.tracer,
-                span_name="scan_morsel",
-            )
-        except procpool.ProcPoolBrokenError:
-            procpool.note_fallback()
-            return None
-        return [result["batches"] for result in results]

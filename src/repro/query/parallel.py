@@ -111,7 +111,6 @@ def run_morsels(
     tasks: Sequence[Callable[[], T]],
     workers: int,
     *,
-    name: str = "repro-scan",
     tracer=NO_TRACER,
     span_name: str = "morsel",
 ) -> list[T]:
@@ -177,7 +176,7 @@ def run_morsels(
             errors[index] = exc
 
     with ThreadPoolExecutor(
-        max_workers=min(workers, len(tasks)), thread_name_prefix=name
+        max_workers=min(workers, len(tasks)), thread_name_prefix="repro-scan"
     ) as executor:
         futures = [executor.submit(run_one, i) for i in range(len(tasks))]
         for future in futures:

@@ -2,24 +2,27 @@
 
 Thread morsels (:mod:`repro.query.parallel`) keep every byte of work
 under the parent's GIL, so CPU-bound bucket work (page decode, predicate
-evaluation, grouping) does not actually overlap.  This module dispatches
-the same morsel subplans to a persistent :class:`ProcessPoolExecutor`
-whose workers re-open the catalog read-only via ``os.pread`` (each
-worker holds its own :class:`~repro.storage.catalog.Catalog`, buffer
-pool and fault injector), execute the shipped subplan, and return
-**un-finalized** :class:`~repro.query.aggregation.AggregationState`
-partials over the :mod:`repro.shard.state_serde` wire format — the same
-order-preserving merge as thread morsels and shard workers, so results
-stay byte-identical to the serial fold.
+evaluation, grouping) does not actually overlap.  This module ships the
+same :mod:`repro.query.morsel` task objects to a persistent
+:class:`ProcessPoolExecutor` whose workers re-open the catalog read-only
+via ``os.pread`` (each worker holds its own
+:class:`~repro.storage.catalog.Catalog`, buffer pool and fault
+injector), call ``task.run`` on their own pinned view of the table, and
+return whatever it returns — **un-finalized**
+:class:`~repro.query.aggregation.AggregationState` partials or filtered
+batches — for the same order-preserving merge as thread morsels, so
+results stay byte-identical to the serial fold.
 
-Task payloads are pure data: bucket lists / bucket ranges, predicates
-and aggregate specs serialized with :mod:`repro.lang.serde`, and (for
-SMA plans) the pre-sliced per-bucket SMA advancement entries, so workers
-never re-read SMA files the parent already rolled up.
+Tasks and results cross the process boundary as the objects themselves:
+the executor pickles what it is handed, and bound predicates, aggregate
+specs, numpy arrays and partial states round-trip through pickle
+bit-exactly.  This module knows nothing about task shapes; SMA plans
+carry their pre-sliced per-bucket SMA entries inside the task, so
+workers never re-read SMA files the parent already rolled up.
 
 Accounting contract (see :mod:`repro.storage.stats`): every worker task
-runs inside its *own* pool's ``query_context`` window and wires the
-window back with the payload; the dispatcher merges worker windows into
+runs inside its *own* pool's ``query_context`` window and returns the
+window with its result; the dispatcher merges worker windows into
 the calling thread's window **in task order**, exactly once.  Physical
 reads performed by a worker process land in that worker's cumulative
 pool counters, never the parent's — the parent sees them only as the
@@ -29,8 +32,8 @@ Worker pools are keyed by (catalog root, buffer pages, fault-injector
 signature) and persist across queries; ``go_cold`` bumps a cold epoch
 that makes workers drop their caches before the next task.  A crashed
 worker (``BrokenProcessPool``) disposes the pool and raises
-:class:`ProcPoolBrokenError`; operators catch it and fall back to the
-thread backend for the query at hand.
+:class:`ProcPoolBrokenError`; :func:`repro.query.morsel.dispatch`
+catches it and re-runs the query's tasks on the thread backend.
 """
 
 from __future__ import annotations
@@ -44,27 +47,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ExecutionError, QueryCancelledError, QueryTimeoutError
-from repro.lang.serde import (
-    aggregate_spec_from_json,
-    aggregate_spec_to_json,
-    predicate_from_json,
-    predicate_to_json,
-)
 from repro.obs.collect import graft_remote_trace
 from repro.obs.trace import NO_TRACER, Tracer
-from repro.shard.state_serde import (
-    state_from_wire,
-    state_to_wire,
-    stats_from_wire,
-    stats_to_wire,
-)
 from repro.storage.stats import IoStats
 
-#: Spawn at least this many workers per pool, so a later query asking
-#: for a few more workers does not force a full pool respawn.
-MIN_PROCESSES = 4
-
-#: Hard ceiling on worker processes per pool.
+#: Worker processes per pool.  Under the spawn context the executor
+#: starts a worker only when a task is submitted and none is idle, and
+#: :meth:`ProcScanPool.dispatch` caps in-flight tasks at the query's
+#: ``workers`` — so this is a ceiling, not a spawn count.
 MAX_PROCESSES = 16
 
 
@@ -108,46 +98,45 @@ def _worker_init(root_dir: str, buffer_pages: int, fault_seed, fault_specs) -> N
     )
 
 
-def _worker_run(task: dict) -> dict:
-    """Execute one shipped morsel subplan; return (payload, stats) wire."""
+def _worker_run(table_name: str, pin, cold_epoch: int, trace_ctx, task):
+    """Run one shipped morsel task; return (result, window, wall_s, trace)."""
     global _WORKER_EPOCH
     catalog = _WORKER_CATALOG
     assert catalog is not None, "worker initializer did not run"
-    epoch = task["cold_epoch"]
-    if epoch != _WORKER_EPOCH:
+    if cold_epoch != _WORKER_EPOCH:
         # The parent went cold since our last task: drop page + decode
         # caches so this task's reads hit "disk" like the parent's would.
         catalog.go_cold()
-        _WORKER_EPOCH = epoch
-    ctx = task.get("trace")
+        _WORKER_EPOCH = cold_epoch
     tracer = span = None
-    if ctx is not None:
+    if trace_ctx is not None:
         # Traced dispatch: open a local root span over this task's whole
         # window.  Ids/timestamps are process-local; the parent grafts
         # the exported tree (re-id + rebase) via obs.collect.
         tracer = Tracer(keep=1)
-        span = tracer.begin(str(ctx.get("span_name", "scan_task")), root=True)
+        span = tracer.begin(str(trace_ctx.get("span_name", "scan_task")), root=True)
         span.annotate(
-            kind=task["kind"],
-            table=task["table"],
+            kind=type(task).__name__,
+            table=table_name,
             pid=os.getpid(),
-            remote_trace_id=ctx.get("trace_id"),
-            remote_parent_span_id=ctx.get("parent_span_id"),
+            remote_trace_id=trace_ctx.get("trace_id"),
+            remote_parent_span_id=trace_ctx.get("parent_span_id"),
         )
     window = IoStats()
     started = time.perf_counter()
     with catalog.pool.query_context(window):
-        payload = _execute_task(catalog, task)
-    payload["stats"] = stats_to_wire(window)
-    payload["wall_s"] = time.perf_counter() - started
+        table = _pinned_table(catalog, catalog.table(table_name), pin)
+        result = task.run(table)
+    wall_s = time.perf_counter() - started
+    trace = None
     if span is not None:
         # The span's io IS the task window: the exported leaf delta and
         # the stats the parent merges are the same counters, so the
         # distributed reconciliation stays byte-exact.
         span.io = window.snapshot()
         tracer.finish(span)
-        payload["trace"] = span.to_dict()
-    return payload
+        trace = span.to_dict()
+    return result, window, wall_s, trace
 
 
 def _pinned_table(catalog, table, pin):
@@ -172,217 +161,6 @@ def _pinned_table(catalog, table, pin):
     return TableView.from_pin(table, pin)
 
 
-def _task_plan(catalog, task):
-    table = _pinned_table(
-        catalog, catalog.table(task["table"]), task.get("pin")
-    )
-    predicate = predicate_from_json(task["predicate"]).bind(table.schema)
-    group_by = tuple(task["group_by"])
-    aggregates = tuple(
-        _rebuild_aggregate(node) for node in task["aggregates"]
-    )
-    return table, predicate, group_by, aggregates
-
-
-def _rebuild_aggregate(node: dict):
-    from repro.query.query import OutputAggregate
-
-    return OutputAggregate(node["name"], aggregate_spec_from_json(node["spec"]))
-
-
-def _execute_task(catalog, task: dict) -> dict:
-    kind = task["kind"]
-    if kind == "gaggr":
-        return _run_gaggr_task(catalog, task)
-    if kind == "sma_range":
-        return _run_sma_range_task(catalog, task)
-    if kind == "scan":
-        return _run_scan_task(catalog, task)
-    if kind == "shared_gaggr":
-        return _run_shared_gaggr_task(catalog, task)
-    raise ExecutionError(f"unknown process-scan task kind {kind!r}")
-
-
-def _run_gaggr_task(catalog, task: dict) -> dict:
-    from repro.query.aggregation import AggregationState
-
-    table, predicate, group_by, aggregates = _task_plan(catalog, task)
-    stats = table.heap.pool.stats
-    partial = AggregationState(table.schema, group_by, aggregates)
-    for bucket_no in task["buckets"]:
-        records = table.read_bucket(bucket_no)
-        stats.buckets_fetched += 1
-        stats.tuples_scanned += len(records)
-        mask = predicate.evaluate(records)
-        partial.consume_batch(records if mask.all() else records[mask])
-    return {"state": state_to_wire(partial)}
-
-
-def _run_shared_gaggr_task(catalog, task: dict) -> dict:
-    """One shared-pass morsel: decode each bucket once, fold every consumer.
-
-    The payload ships a *list* of consumer plans (predicate, group_by,
-    aggregates) over one pinned table; the worker grades each decoded
-    bucket with every consumer's predicate and returns one wire state
-    per consumer, in consumer order — the parent merges them per
-    consumer in morsel order, exactly like single-consumer gaggr tasks.
-    """
-    from repro.query.aggregation import AggregationState
-
-    table = _pinned_table(
-        catalog, catalog.table(task["table"]), task.get("pin")
-    )
-    stats = table.heap.pool.stats
-    consumers = []
-    for spec in task["consumers"]:
-        predicate = predicate_from_json(spec["predicate"]).bind(table.schema)
-        group_by = tuple(spec["group_by"])
-        aggregates = tuple(
-            _rebuild_aggregate(node) for node in spec["aggregates"]
-        )
-        consumers.append(
-            (predicate, AggregationState(table.schema, group_by, aggregates))
-        )
-    for bucket_no in task["buckets"]:
-        records = table.read_bucket(bucket_no)
-        stats.buckets_fetched += 1
-        stats.tuples_scanned += len(records)
-        for predicate, partial in consumers:
-            mask = predicate.evaluate(records)
-            partial.consume_batch(records if mask.all() else records[mask])
-    return {"states": [state_to_wire(partial) for _, partial in consumers]}
-
-
-def _run_sma_range_task(catalog, task: dict) -> dict:
-    from repro.query.aggregation import AggregationState
-    from repro.query.sma_gaggr import _SmaEntries
-
-    table, predicate, group_by, aggregates = _task_plan(catalog, task)
-    stats = table.heap.pool.stats
-    partial = AggregationState(table.schema, group_by, aggregates)
-    # Entries and masks arrive pre-sliced to [lo, hi); advancement walks
-    # local indexes so qualifying SMA entries and ambivalent heap tuples
-    # interleave in exactly the serial bucket order.
-    entries = _SmaEntries(task["entry_counts"], task["entry_aggs"])
-    lo, hi = task["lo"], task["hi"]
-    qualifying = task["qualifying"]
-    ambivalent = task["ambivalent"]
-    for i in range(hi - lo):
-        if qualifying[i]:
-            entries.advance(partial, i)
-        elif ambivalent[i]:
-            records = table.read_bucket(lo + i)
-            stats.buckets_fetched += 1
-            stats.tuples_scanned += len(records)
-            mask = predicate.evaluate(records)
-            partial.consume_batch(records[mask])
-    return {"state": state_to_wire(partial)}
-
-
-def _run_scan_task(catalog, task: dict) -> dict:
-    table, predicate, _, _ = _task_plan(catalog, task)
-    stats = table.heap.pool.stats
-    out = []
-    for bucket_no, qualifying in zip(task["buckets"], task["qualifying"]):
-        records = table.read_bucket(bucket_no)
-        stats.buckets_fetched += 1
-        stats.tuples_scanned += len(records)
-        if qualifying:
-            out.append(records)
-        else:
-            mask = predicate.evaluate(records)
-            out.append(records if mask.all() else records[mask])
-    return {"batches": out}
-
-
-# ----------------------------------------------------------------------
-# task payload builders (parent side)
-# ----------------------------------------------------------------------
-
-
-def _plan_payload(table, predicate, group_by, aggregates) -> dict:
-    return {
-        "table": table.name,
-        "pin": getattr(table, "pin", None),
-        "predicate": predicate_to_json(predicate),
-        "group_by": list(group_by),
-        "aggregates": [
-            {"name": a.name, "spec": aggregate_spec_to_json(a.spec)}
-            for a in aggregates
-        ],
-    }
-
-
-def gaggr_task(table, predicate, group_by, aggregates, buckets) -> dict:
-    payload = _plan_payload(table, predicate, group_by, aggregates)
-    payload.update(kind="gaggr", buckets=[int(b) for b in buckets])
-    return payload
-
-
-def shared_gaggr_task(table, consumers, buckets) -> dict:
-    """Ship one shared-pass morsel: all consumers' plans + a bucket list.
-
-    *consumers* is the dispatcher's sealed list; each carries a bound
-    ``predicate`` and its logical ``query`` (group_by / aggregates).
-    """
-    return {
-        "kind": "shared_gaggr",
-        "table": table.name,
-        "pin": getattr(table, "pin", None),
-        "consumers": [
-            {
-                "predicate": predicate_to_json(consumer.predicate),
-                "group_by": list(consumer.query.group_by),
-                "aggregates": [
-                    {"name": a.name, "spec": aggregate_spec_to_json(a.spec)}
-                    for a in consumer.query.aggregates
-                ],
-            }
-            for consumer in consumers
-        ],
-        "buckets": [int(b) for b in buckets],
-    }
-
-
-def sma_range_task(
-    table, predicate, group_by, aggregates, lo, hi,
-    qualifying, ambivalent, entries,
-) -> dict:
-    """Ship buckets [lo, hi) with masks and SMA entries sliced to the range."""
-    payload = _plan_payload(table, predicate, group_by, aggregates)
-    payload.update(
-        kind="sma_range",
-        lo=int(lo),
-        hi=int(hi),
-        qualifying=qualifying[lo:hi].copy(),
-        ambivalent=ambivalent[lo:hi].copy(),
-        entry_counts=[
-            (key, values[lo:hi].copy()) for key, values in entries.counts
-        ],
-        entry_aggs=[
-            (
-                index,
-                kind,
-                key,
-                values[lo:hi].copy(),
-                None if valid is None else valid[lo:hi].copy(),
-            )
-            for index, kind, key, values, valid in entries.aggs
-        ],
-    )
-    return payload
-
-
-def scan_task(table, predicate, buckets, qualifying) -> dict:
-    payload = _plan_payload(table, predicate, (), ())
-    payload.update(
-        kind="scan",
-        buckets=[int(b) for b in buckets],
-        qualifying=[bool(q) for q in qualifying],
-    )
-    return payload
-
-
 # ----------------------------------------------------------------------
 # pool registry (parent side)
 # ----------------------------------------------------------------------
@@ -400,17 +178,15 @@ class ProcScanPool:
         self.cold_epoch = 0
         self.tasks_dispatched = 0
         self._executor: ProcessPoolExecutor | None = None
-        self._max_workers = 0
         self._lock = threading.Lock()
 
-    def _ensure(self, workers: int) -> ProcessPoolExecutor:
-        size = min(max(workers, MIN_PROCESSES), MAX_PROCESSES)
+    def _ensure(self) -> ProcessPoolExecutor:
+        # Built once, never resized: replacing a live executor would
+        # cancel the futures of every query dispatching on it.
         with self._lock:
-            if self._executor is None or self._max_workers < size:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False, cancel_futures=True)
+            if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=size,
+                    max_workers=MAX_PROCESSES,
                     mp_context=multiprocessing.get_context("spawn"),
                     initializer=_worker_init,
                     initargs=(
@@ -420,32 +196,38 @@ class ProcScanPool:
                         self.fault_specs,
                     ),
                 )
-                self._max_workers = size
             return self._executor
 
     @property
     def spawned_workers(self) -> int:
-        return self._max_workers
+        """Worker processes alive right now (0 before the first task)."""
+        with self._lock:
+            executor = self._executor
+        # A shut-down executor sets ``_processes`` to None.
+        return len(getattr(executor, "_processes", None) or ())
 
     def dispatch(
         self,
-        tasks: list[dict],
+        table_name: str,
+        pin,
+        trace_ctx,
+        tasks: list,
         workers: int,
         *,
         cancel_event=None,
         deadline=None,
-    ) -> list[dict]:
+    ) -> list[tuple]:
         """Run *tasks* with at most *workers* in flight; results in order.
 
+        Each result is the worker's ``(result, window, wall_s, trace)``.
         Worker crashes raise :class:`ProcPoolBrokenError` (after the pool
         is disposed, so the next query respawns it); task-level errors
         re-raise in task order after every submitted task settles —
         matching :func:`repro.query.parallel.run_morsels` semantics.
         """
-        executor = self._ensure(workers)
-        for task in tasks:
-            task["cold_epoch"] = self.cold_epoch
-        results: list[dict | None] = [None] * len(tasks)
+        executor = self._ensure()
+        cold_epoch = self.cold_epoch
+        results: list[tuple | None] = [None] * len(tasks)
         errors: list[BaseException | None] = [None] * len(tasks)
         pending: dict = {}
         next_index = 0
@@ -453,7 +235,10 @@ class ProcScanPool:
         def submit_next() -> None:
             nonlocal next_index
             if next_index < len(tasks):
-                future = executor.submit(_worker_run, tasks[next_index])
+                future = executor.submit(
+                    _worker_run, table_name, pin, cold_epoch, trace_ctx,
+                    tasks[next_index],
+                )
                 pending[future] = next_index
                 next_index += 1
 
@@ -488,7 +273,7 @@ class ProcScanPool:
         except BrokenProcessPool as exc:
             # Submission and result retrieval can both surface a dead
             # worker; either way the executor is unusable — dispose it so
-            # the next query respawns, and let the operator fall back.
+            # the next query respawns, and let the dispatcher fall back.
             self.dispose()
             raise ProcPoolBrokenError(
                 "scan worker process died; falling back to threads"
@@ -505,7 +290,6 @@ class ProcScanPool:
     def dispose(self) -> None:
         with self._lock:
             executor, self._executor = self._executor, None
-            self._max_workers = 0
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
         with _REGISTRY_LOCK:
@@ -584,13 +368,8 @@ def shutdown_pools() -> None:
     """Dispose every pool (atexit / test teardown)."""
     with _REGISTRY_LOCK:
         pools = list(_POOLS.values())
-        _POOLS.clear()
     for pool in pools:
-        with pool._lock:
-            executor, pool._executor = pool._executor, None
-            pool._max_workers = 0
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        pool.dispose()
 
 
 atexit.register(shutdown_pools)
@@ -603,23 +382,22 @@ atexit.register(shutdown_pools)
 
 def run_process_morsels(
     table,
-    payloads: list[dict],
+    tasks: list,
     workers: int,
     *,
     tracer=NO_TRACER,
     span_name: str = "scan_morsel",
-) -> list[dict]:
-    """Dispatch morsel payloads; merge worker stats into the caller's window.
+) -> list:
+    """Run morsel *tasks* in worker processes; their results in task order.
 
-    Returns worker result dicts in task order.  Each worker's IoStats
-    delta is merged into the calling thread's per-query window exactly
-    once, in task order, and — under an enabled tracer — exposed as one
-    io-carrying ``span_name`` span per morsel so PR 4's leaf-sum
-    reconciliation stays exact.  The dispatcher itself must never run
-    inside an io-carrying span (that would double-count the merge).
+    Each worker's IoStats window is merged into the calling thread's
+    per-query window exactly once, in task order, and — under an enabled
+    tracer — exposed as one io-carrying ``span_name`` span per morsel so
+    PR 4's leaf-sum reconciliation stays exact.  The dispatcher itself
+    must never run inside an io-carrying span (that would double-count
+    the merge).
 
-    Raises :class:`ProcPoolBrokenError` when the pool died; callers
-    catch it, call :func:`note_fallback` and re-run on threads.
+    Raises :class:`ProcPoolBrokenError` when the pool died.
     """
     pool = table.heap.pool
     # Workers attach to the *on-disk* heap via pread: persist the data
@@ -630,76 +408,48 @@ def run_process_morsels(
     proc = get_pool(root_dir, pool.capacity_pages, pool.fault_injector)
     cancel_event, deadline = pool.binding_controls()
     parent_span = tracer.current() if tracer.enabled else None
+    trace_ctx = None
     if parent_span is not None:
         # Traced dispatch: ship trace context so each worker opens its
         # task span as a child of this query instead of a fresh root.
-        ctx = {
+        trace_ctx = {
             "trace_id": parent_span.trace_id,
             "parent_span_id": parent_span.span_id,
             "span_name": span_name,
         }
-        for payload in payloads:
-            payload["trace"] = ctx
     with tracer.span(
         "process_dispatch",
-        attrs={"tasks": len(payloads), "workers": workers, "backend": "process"},
+        attrs={"tasks": len(tasks), "workers": workers, "backend": "process"},
     ) as dispatch_span:
-        wire_results = proc.dispatch(
-            payloads, workers, cancel_event=cancel_event, deadline=deadline
+        replies = proc.dispatch(
+            table.name,
+            getattr(table, "pin", None),
+            trace_ctx,
+            tasks,
+            workers,
+            cancel_event=cancel_event,
+            deadline=deadline,
         )
     parent = pool.stats
-    for index, result in enumerate(wire_results):
-        worker_stats = stats_from_wire(result["stats"])
-        if parent_span is not None:
-            remote = result.get("trace")
-            if remote is not None:
-                # The worker's exported span carries the task window as
-                # its io delta; graft it (re-id, rebase into the dispatch
-                # interval) and merge the same counters into the caller's
-                # window — the grafted leaf and the merge agree exactly.
-                graft_remote_trace(
-                    tracer,
-                    parent_span,
-                    remote,
-                    anchor=dispatch_span,
-                    name=span_name,
-                    attrs={
-                        "morsel": index,
-                        "backend": "process",
-                        "worker_wall_s": result.get("wall_s"),
-                    },
-                )
-                parent.merge(worker_stats)
-                continue
-            window = IoStats()
-            with tracer.span(
-                span_name,
-                parent=parent_span,
-                stats=window,
+    results = []
+    for index, (result, window, wall_s, remote) in enumerate(replies):
+        if remote is not None:
+            # The worker's exported span carries the task window as its
+            # io delta; graft it (re-id, rebase into the dispatch
+            # interval) and merge the same counters into the caller's
+            # window — the grafted leaf and the merge agree exactly.
+            graft_remote_trace(
+                tracer,
+                parent_span,
+                remote,
+                anchor=dispatch_span,
+                name=span_name,
                 attrs={
                     "morsel": index,
                     "backend": "process",
-                    "worker_wall_s": result.get("wall_s"),
+                    "worker_wall_s": wall_s,
                 },
-            ):
-                window.merge(worker_stats)
-            parent.merge(window)
-        else:
-            parent.merge(worker_stats)
-    return wire_results
-
-
-def partial_from_wire(node: dict, aggregates, group_by):
-    """Rebuild a worker's partial AggregationState for the ordered merge.
-
-    The wire round-trip reconstructs aggregate specs structurally equal
-    to the parent's (frozen dataclasses), but we install the parent's
-    own tuples so ``AggregationState.merge`` compares identical objects.
-    """
-    partial = state_from_wire(node)
-    if tuple(partial.group_by) != tuple(group_by):
-        raise ExecutionError("process worker returned mismatched group_by")
-    if partial.aggregates != tuple(aggregates):
-        raise ExecutionError("process worker returned mismatched aggregates")
-    partial.aggregates = tuple(aggregates)
-    return partial
+            )
+        parent.merge(window)
+        results.append(result)
+    return results

@@ -28,12 +28,12 @@ where the planner's quarantine fallback routes them to the heap.  A
 pass already running is unaffected: the shared pass never consults SMA
 files, so a mid-pass quarantine cannot corrupt it.
 
-Both scan backends work: the thread backend fans morsels out via
-:func:`~repro.query.parallel.run_morsels`; the process backend ships a
-``shared_gaggr`` task (all consumer plans + a bucket morsel) to the
-worker-process pool and rebuilds the per-consumer partial states from
-the wire, falling back to threads when the pool breaks — mirroring
-:class:`~repro.query.gaggr.ParallelGAggr`.
+The pass is a list of :class:`~repro.query.morsel.FoldTask`\\ s — all
+consumer plans + a bucket morsel each, the very task
+:class:`~repro.query.gaggr.ParallelGAggr` builds with one consumer —
+handed to :func:`~repro.query.morsel.dispatch_fold`, so both scan
+backends, the broken-pool fallback and the ordered merge are the ones
+every morsel operator uses.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from repro.errors import ExecutionError
 from repro.obs.trace import NO_TRACER
 from repro.query.aggregation import AggregationState
 from repro.query.logical import normalize_predicate
-from repro.query.parallel import ScanParallelism, make_morsels, run_morsels
+from repro.query.morsel import FoldSpec, FoldTask, dispatch_fold
+from repro.query.parallel import ScanParallelism, make_morsels
 from repro.query.planner import PlanInfo
 from repro.query.query import AggregateQuery
 
@@ -257,96 +258,21 @@ class SharedScanDispatcher:
     def _run_pass(
         self, view, consumers: list[_Consumer], parallelism, tracer
     ) -> list[AggregationState]:
+        """One :class:`FoldTask` per morsel carrying every consumer."""
         parallelism = parallelism or ScanParallelism.serial()
-        states = [
-            AggregationState(
-                view.schema, member.query.group_by, member.query.aggregates
-            )
+        specs = tuple(
+            FoldSpec(member.predicate, member.query.group_by, member.query.aggregates)
             for member in consumers
-        ]
-        morsels = make_morsels(
-            range(view.num_buckets), parallelism.morsel_buckets
         )
-        if not morsels:
-            return states
-        if parallelism.use_processes and len(morsels) > 1:
-            partial_lists = self._process_pass(
-                view, consumers, morsels, parallelism, tracer
-            )
-            if partial_lists is not None:
-                for partials in partial_lists:
-                    for state, partial in zip(states, partials):
-                        state.merge(partial)
-                return states
         tasks = [
-            self._morsel_task(view, consumers, morsel) for morsel in morsels
-        ]
-        partial_lists = run_morsels(
-            view.heap.pool,
-            tasks,
-            parallelism.workers,
-            tracer=tracer,
-            span_name="shared_morsel",
-        )
-        with tracer.span("merge", attrs={"partials": len(partial_lists)}):
-            for partials in partial_lists:
-                for state, partial in zip(states, partials):
-                    state.merge(partial)
-        return states
-
-    def _morsel_task(self, view, consumers: list[_Consumer], morsel):
-        def task() -> list[AggregationState]:
-            stats = view.heap.pool.stats  # worker's child window
-            partials = [
-                AggregationState(
-                    view.schema, member.query.group_by, member.query.aggregates
-                )
-                for member in consumers
-            ]
-            for bucket_no in morsel:
-                records = view.read_bucket(bucket_no)
-                stats.buckets_fetched += 1
-                stats.tuples_scanned += len(records)
-                for member, partial in zip(consumers, partials):
-                    mask = member.predicate.evaluate(records)
-                    partial.consume_batch(
-                        records if mask.all() else records[mask]
-                    )
-            return partials
-
-        return task
-
-    def _process_pass(
-        self, view, consumers, morsels, parallelism, tracer
-    ) -> list[list[AggregationState]] | None:
-        """Per-morsel consumer partials via the process pool (None = fall
-        back to the thread pass)."""
-        from repro.query import procpool
-
-        payloads = [
-            procpool.shared_gaggr_task(view, consumers, morsel)
-            for morsel in morsels
-        ]
-        try:
-            results = procpool.run_process_morsels(
-                view,
-                payloads,
-                parallelism.workers,
-                tracer=tracer,
-                span_name="shared_morsel",
+            FoldTask(morsel, specs)
+            for morsel in make_morsels(
+                range(view.num_buckets), parallelism.morsel_buckets
             )
-        except procpool.ProcPoolBrokenError:
-            procpool.note_fallback()
-            return None
-        return [
-            [
-                procpool.partial_from_wire(
-                    wire, member.query.aggregates, member.query.group_by
-                )
-                for member, wire in zip(consumers, reply["states"])
-            ]
-            for reply in results
         ]
+        return dispatch_fold(
+            view, specs, tasks, parallelism, tracer, "shared_morsel"
+        )
 
     # ------------------------------------------------------------------
     # invalidation / observation

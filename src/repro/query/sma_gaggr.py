@@ -25,7 +25,8 @@ from repro.errors import PlanningError
 from repro.lang.predicate import Predicate
 from repro.obs.trace import NO_TRACER
 from repro.query.aggregation import AggregationState
-from repro.query.parallel import ScanParallelism, make_morsels, run_morsels
+from repro.query.morsel import FoldSpec, SmaRangeTask, dispatch_fold
+from repro.query.parallel import ScanParallelism, make_morsels
 from repro.query.query import OutputAggregate, QueryRows
 from repro.storage.table import Table
 
@@ -106,7 +107,6 @@ class SmaGAggr:
         in :mod:`repro.shard`) merges back byte-identically.
         """
         tracer = self.tracer
-        state = AggregationState(self.table.schema, self.group_by, self.aggregates)
         partitioning = self.partitioning
         stats = self.table.heap.pool.stats
 
@@ -131,50 +131,48 @@ class SmaGAggr:
 
         # Phase: walk buckets in physical order — qualifying buckets
         # advance from the SMA entries, ambivalent buckets are fetched,
-        # filtered and consumed.  Only ambivalent buckets cost heap I/O,
-        # so with parallelism enabled the bucket range splits into
-        # contiguous sub-ranges balanced by ambivalent-bucket count;
-        # partials merge in range order.
-        ambivalent = [int(b) for b in np.flatnonzero(partitioning.ambivalent)]
+        # filtered and consumed (:class:`SmaRangeTask`).  Only ambivalent
+        # buckets cost heap I/O, so with parallelism enabled the bucket
+        # range splits into contiguous sub-ranges balanced by
+        # ambivalent-bucket count; partials merge in range order.
+        spec = FoldSpec(self.predicate, self.group_by, self.aggregates)
+        qualifying_mask = partitioning.qualifying
+        ambivalent_mask = partitioning.ambivalent
+
+        def range_task(lo: int, hi: int) -> SmaRangeTask:
+            return SmaRangeTask(
+                lo,
+                hi,
+                qualifying_mask[lo:hi],
+                ambivalent_mask[lo:hi],
+                entries.slice(lo, hi),
+                spec,
+            )
+
+        ambivalent = [int(b) for b in np.flatnonzero(ambivalent_mask)]
         if (
             self.parallelism is not None
             and self.parallelism.enabled
             and len(ambivalent) > 1
         ):
-            chunks = make_morsels(ambivalent, self.parallelism.morsel_buckets)
-            ranges: list[tuple[int, int]] = []
+            tasks = []
             start = 0
-            for chunk in chunks:
-                ranges.append((start, chunk[-1] + 1))
+            for chunk in make_morsels(ambivalent, self.parallelism.morsel_buckets):
+                tasks.append(range_task(start, chunk[-1] + 1))
                 start = chunk[-1] + 1
             if start < self.table.num_buckets:
-                ranges.append((start, self.table.num_buckets))
-            partials = None
-            if self.parallelism.use_processes and len(ranges) > 1:
-                partials = self._process_partials(ranges, entries, partitioning)
-            if partials is None:
-                tasks = [
-                    self._range_task(lo, hi, entries) for lo, hi in ranges
-                ]
-                pool = self.table.heap.pool
-                partials = run_morsels(
-                    pool,
-                    tasks,
-                    self.parallelism.workers,
-                    tracer=tracer,
-                    span_name="ambivalent_fetch",
-                )
-            with tracer.span("merge", attrs={"partials": len(partials)}):
-                for partial in partials:
-                    state.merge(partial)
-        else:
-            with tracer.span(
+                tasks.append(range_task(start, self.table.num_buckets))
+            (state,) = dispatch_fold(
+                self.table, (spec,), tasks, self.parallelism, tracer,
                 "ambivalent_fetch",
-                stats=stats,
-                attrs={"buckets": len(ambivalent), "mode": "serial"},
-            ):
-                self._advance_range(state, 0, self.table.num_buckets, entries)
-
+            )
+            return state
+        with tracer.span(
+            "ambivalent_fetch",
+            stats=stats,
+            attrs={"buckets": len(ambivalent), "mode": "serial"},
+        ):
+            (state,) = range_task(0, self.table.num_buckets).run(self.table)
         return state
 
     def execute(self) -> QueryRows:
@@ -183,71 +181,6 @@ class SmaGAggr:
         Post-processing (averages) happens inside ``finalize()``.
         """
         return self.collect_state().finalize()
-
-    def _process_partials(self, ranges, entries, partitioning):
-        """Range partials via the worker-process pool (None = fall back).
-
-        Each task ships its bucket range with the partitioning masks and
-        SMA advancement entries pre-sliced to the range, so the worker
-        interleaves qualifying SMA entries and ambivalent heap tuples in
-        exactly the serial bucket order without re-reading SMA files.
-        """
-        from repro.query import procpool
-
-        payloads = [
-            procpool.sma_range_task(
-                self.table, self.predicate, self.group_by, self.aggregates,
-                lo, hi, partitioning.qualifying, partitioning.ambivalent,
-                entries,
-            )
-            for lo, hi in ranges
-        ]
-        try:
-            results = procpool.run_process_morsels(
-                self.table,
-                payloads,
-                self.parallelism.workers,
-                tracer=self.tracer,
-                span_name="ambivalent_fetch",
-            )
-        except procpool.ProcPoolBrokenError:
-            procpool.note_fallback()
-            return None
-        return [
-            procpool.partial_from_wire(r["state"], self.aggregates, self.group_by)
-            for r in results
-        ]
-
-    def _range_task(self, lo: int, hi: int, entries: "_SmaEntries"):
-        def task() -> AggregationState:
-            partial = AggregationState(
-                self.table.schema, self.group_by, self.aggregates
-            )
-            self._advance_range(partial, lo, hi, entries)
-            return partial
-
-        return task
-
-    def _advance_range(
-        self,
-        state: AggregationState,
-        lo: int,
-        hi: int,
-        entries: "_SmaEntries",
-    ) -> None:
-        """Advance *state* over buckets ``[lo, hi)`` in bucket order."""
-        stats = self.table.heap.pool.stats  # caller's (or worker's) window
-        qualifying = self.partitioning.qualifying
-        ambivalent = self.partitioning.ambivalent
-        for bucket_no in range(lo, hi):
-            if qualifying[bucket_no]:
-                entries.advance(state, bucket_no)
-            elif ambivalent[bucket_no]:
-                records = self.table.read_bucket(bucket_no)
-                stats.buckets_fetched += 1
-                stats.tuples_scanned += len(records)
-                mask = self.predicate.evaluate(records)
-                state.consume_batch(records[mask])
 
     def _load_sma_entries(self) -> "_SmaEntries":
         """Read every needed SMA-file once into per-bucket value arrays."""
@@ -304,6 +237,17 @@ class _SmaEntries:
     def __init__(self, counts: list, aggs: list):
         self.counts = counts
         self.aggs = aggs
+
+    def slice(self, lo: int, hi: int) -> "_SmaEntries":
+        """Entries of buckets ``[lo, hi)``, re-indexed from 0 (views)."""
+        return _SmaEntries(
+            [(key, counts[lo:hi]) for key, counts in self.counts],
+            [
+                (index, kind, key, values[lo:hi],
+                 None if valid is None else valid[lo:hi])
+                for index, kind, key, values, valid in self.aggs
+            ],
+        )
 
     def advance(self, state: AggregationState, bucket_no: int) -> None:
         for key, counts in self.counts:

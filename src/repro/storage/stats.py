@@ -28,9 +28,8 @@ query settles.
 *Process* scan workers (``scan_backend="process"``) extend the same
 contract across process boundaries.  Each worker process owns a private
 buffer pool and opens a fresh :class:`IoStats` window per task; the
-window's deltas travel back over the wire
-(:func:`repro.shard.state_serde.stats_to_wire`) and the dispatching
-thread merges them into the parent query's window exactly once, in task
+window travels back with the task's result and the dispatching
+thread merges it into the parent query's window exactly once, in task
 order — the leader never re-charges a read a worker already charged,
 and a worker's physical reads never appear in the parent pool's
 cumulative counters (they happened against the worker's own pool).

@@ -7,17 +7,22 @@ backend's exactly:
 * results are **byte-identical** to the serial fold for every strategy
   (GAggr scan, SMA_GAggr with ambivalent buckets, plain scans) — the
   hypothesis suite sweeps seeded query mixes over all modes;
-* worker crashes degrade gracefully: the query falls back to the thread
-  backend, still returns the correct result, and the fallback is
-  counted; the next process query respawns a healthy pool;
+* worker crashes degrade gracefully, whatever the plan shape: the query
+  falls back to the thread backend, still returns the correct result,
+  and the fallback is counted once; the next process query respawns a
+  healthy pool;
+* a pool is never rebuilt under a running query: sessions asking for
+  different worker counts share one executor;
 * per-worker IoStats deltas merge into the parent window exactly once,
   so traced runs reconcile leaf span I/O against query totals field for
   field — standalone and under the concurrent query service.
 """
 
+import collections
 import datetime
 import os
 import signal
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,16 +36,18 @@ from repro.core import (
     minimum,
     total,
 )
-from repro.lang import cmp, col
+from repro.lang import and_, cmp, col
 from repro.obs import Tracer
 from repro.obs.exposition import render_prometheus
 from repro.query import procpool
 from repro.query.parallel import ScanParallelism
 from repro.query.query import AggregateQuery, OutputAggregate, ScanQuery
 from repro.query.session import Session, assert_same_result
+from repro.query.sharedscan import SharedScanDispatcher
 from repro.server import QueryService
 from repro.server.metrics import MetricsRegistry
 from repro.storage import Catalog
+from repro.storage.stats import IoStats
 
 from tests.conftest import BASE_DATE, SALES_SCHEMA, sales_rows
 
@@ -68,14 +75,15 @@ def proc_catalog(tmp_path_factory):
     cat.close()
 
 
-def process_session(catalog, *, tracer=None, workers=4):
-    """A session on the process backend with morsels forced small, so
-    even the 5-bucket SALES table splits into multiple tasks."""
+def process_session(catalog, *, tracer=None, workers=4, backend="process"):
+    """A session on the process backend (or *backend*, for comparing the
+    two) with morsels forced small, so even the small SALES table splits
+    into multiple tasks."""
     return Session(
         catalog,
         scan_workers=workers,
         morsel_buckets=1,
-        scan_backend="process",
+        scan_backend=backend,
         tracer=tracer,
     )
 
@@ -105,6 +113,57 @@ def scan_query(days=5):
         where=cmp("ship", "<=", BASE_DATE + datetime.timedelta(days=days)),
         columns=("id", "qty"),
     )
+
+
+def two_ended_query():
+    """Shipped inside a window: one ambivalent bucket at each end, so
+    SMA_GAggr has two ranges to hand out."""
+    window = and_(
+        cmp("ship", ">=", BASE_DATE + datetime.timedelta(days=3)),
+        cmp("ship", "<=", BASE_DATE + datetime.timedelta(days=20)),
+    )
+    return AggregateQuery(
+        table="SALES",
+        aggregates=agg_query().aggregates,
+        where=window,
+        group_by=("flag",),
+        order_by=("flag",),
+    )
+
+
+def shared_pass(catalog, sessions):
+    """One cooperative pass with ``len(sessions)`` consumers; results in
+    session order.  The gather window is wide enough for every thread to
+    enrol before the leader seals the group."""
+    dispatcher = SharedScanDispatcher(gather_window_s=0.3)
+    results = [None] * len(sessions)
+
+    def consume(index):
+        # As under the service: a private I/O window per consumer thread.
+        with catalog.pool.query_context(IoStats()):
+            results[index] = sessions[index].execute_shared(
+                agg_query(15 + 15 * index, minmax=True), dispatcher=dispatcher
+            )
+
+    threads = [
+        threading.Thread(target=consume, args=(i,)) for i in range(len(sessions))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert dispatcher.snapshot()["fan_in_max"] == len(sessions)
+    return results
+
+
+#: The four plans that dispatch morsel tasks: name -> run(session factory),
+#: returning the results to compare (a list: the shared pass has two).
+PLAN_SHAPES = {
+    "gaggr": lambda cat, new: [new().execute(agg_query(45), mode="scan")],
+    "sma_gaggr": lambda cat, new: [new().execute(two_ended_query(), mode="sma")],
+    "scan": lambda cat, new: [new().execute(scan_query(days=40))],
+    "shared": lambda cat, new: shared_pass(cat, [new(), new()]),
+}
 
 
 def test_backend_validation():
@@ -178,16 +237,19 @@ class TestByteIdentity:
 
 
 class TestCrashFallback:
-    def test_worker_crash_falls_back_to_threads(self, proc_catalog):
-        serial = Session(proc_catalog)
-        proc = process_session(proc_catalog)
-        query = agg_query(45)
-        reference = serial.execute(query, mode="scan")
-        assert_same_result(proc.execute(query, mode="scan"), reference)
+    """The one fallback in ``morsel.dispatch`` serves every plan shape."""
 
-        pool = procpool.get_pool(
-            proc_catalog.root_dir, proc_catalog.pool.capacity_pages
-        )
+    def crash_and_recover(self, catalog, shape):
+        run = PLAN_SHAPES[shape]
+        reference = run(catalog, lambda: Session(catalog))
+        on_processes = lambda: process_session(catalog)  # noqa: E731
+
+        def check():
+            for result, expected in zip(run(catalog, on_processes), reference):
+                assert_same_result(result, expected)
+
+        check()
+        pool = procpool.get_pool(catalog.root_dir, catalog.pool.capacity_pages)
         workers = list(pool._executor._processes.values())
         assert workers, "pool should have live worker processes"
         before = procpool.pool_gauges()["fallbacks"]
@@ -195,15 +257,65 @@ class TestCrashFallback:
             os.kill(worker.pid, signal.SIGKILL)
 
         # The dead pool surfaces as ProcPoolBrokenError inside the
-        # operator, which falls back to thread morsels: same answer.
-        assert_same_result(proc.execute(query, mode="scan"), reference)
-        assert procpool.pool_gauges()["fallbacks"] >= before + 1
+        # dispatcher, which re-runs the tasks on threads: same answer,
+        # one fallback however many tasks or consumers the plan had.
+        check()
+        assert procpool.pool_gauges()["fallbacks"] == before + 1
 
         # The broken executor was disposed; the next process query
         # respawns a healthy pool and leaves the fallback count alone.
-        settled = procpool.pool_gauges()["fallbacks"]
-        assert_same_result(proc.execute(query, mode="scan"), reference)
-        assert procpool.pool_gauges()["fallbacks"] == settled
+        check()
+        assert procpool.pool_gauges()["fallbacks"] == before + 1
+        assert procpool.pool_gauges(catalog.root_dir)["workers_spawned"] > 0
+
+    def test_worker_crash_falls_back_to_threads(self, proc_catalog):
+        self.crash_and_recover(proc_catalog, "gaggr")
+
+    @pytest.mark.parametrize("shape", ["sma_gaggr", "scan", "shared"])
+    def test_every_other_plan_shape_falls_back_too(self, proc_catalog, shape):
+        self.crash_and_recover(proc_catalog, shape)
+
+
+class TestPoolGrowth:
+    def test_wider_query_leaves_a_running_narrow_one_alone(self, proc_catalog):
+        """A session asking for more workers than the pool has started
+        must not replace the executor another session is dispatching on
+        (that used to cancel the narrow query's futures)."""
+        procpool.dispose_pools(proc_catalog.root_dir)
+        query = agg_query(45)
+        reference = Session(proc_catalog).execute(query, mode="scan")
+        narrow = process_session(proc_catalog, workers=2)
+        wide = process_session(proc_catalog, workers=8)
+        errors, completed, stop = [], threading.Event(), threading.Event()
+
+        def loop():
+            try:
+                while not stop.is_set():
+                    assert_same_result(
+                        narrow.execute(query, mode="scan"), reference
+                    )
+                    completed.set()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        looper = threading.Thread(target=loop)
+        before = procpool.pool_gauges()["fallbacks"]
+        looper.start()
+        try:
+            assert completed.wait(timeout=60)  # the pool is up, narrow
+            pool = procpool.get_pool(
+                proc_catalog.root_dir, proc_catalog.pool.capacity_pages
+            )
+            executor = pool._executor
+            for _ in range(3):
+                assert_same_result(wide.execute(query, mode="scan"), reference)
+            assert pool._executor is executor
+        finally:
+            stop.set()
+            looper.join(timeout=60)
+        assert not looper.is_alive()
+        assert errors == []
+        assert procpool.pool_gauges()["fallbacks"] == before
 
 
 class TestAttribution:
@@ -265,6 +377,39 @@ class TestAttribution:
             "backend": "process",
             "scan_workers": 4,
         }
+
+
+class TestTraceShape:
+    """One dispatcher, one trace shape: per plan, the process backend's
+    span tree differs from the thread backend's by ``process_dispatch``
+    only, and both reconcile leaf I/O to the query's stats."""
+
+    @pytest.mark.parametrize("shape", list(PLAN_SHAPES))
+    def test_backends_trace_alike(self, proc_catalog, shape):
+        names = {}
+        for backend in ("thread", "process"):
+            roots = []
+            tracer = Tracer(on_trace=[roots.append], keep=16)
+            results = PLAN_SHAPES[shape](
+                proc_catalog,
+                lambda: process_session(
+                    proc_catalog, tracer=tracer, backend=backend
+                ),
+            )
+            assert len(roots) == len(results)
+            total = collections.Counter()
+            for root in roots:
+                total.update(span.name for span in root.walk())
+            assert total["merge"] == (0 if shape == "scan" else 1)
+            names[backend] = total
+            # Shared-pass roots finish in either order: match by I/O.
+            assert sorted(
+                (sorted(root.io_total().as_dict().items()) for root in roots)
+            ) == sorted(
+                (sorted(result.stats.as_dict().items()) for result in results)
+            )
+        assert names["process"].pop("process_dispatch") == 1
+        assert names["process"] == names["thread"]
 
 
 class TestObservability:
