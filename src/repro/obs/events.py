@@ -15,7 +15,11 @@ everything else is event-specific.  Types emitted by the service layer:
 ``server_start``          service config (workers, queue depth, ...)
 ``server_stop``           final outcome counters
 ``query_start``           ticket id, kind, submitted query
-``query_finish``          outcome, latency, strategy, IoStats delta
+``query_finish``          exactly one per ``query_start``: outcome
+                          (completed / failed / timed_out / cancelled),
+                          plus latency, strategy and IoStats delta when
+                          completed, ``skipped`` / ``error`` otherwise
+``query_rejected``        a submission the admission queue refused
 ``slow_query``            over-threshold query + its captured EXPLAIN
 ``trace``                 a finished span tree (see :mod:`.trace`)
 ``ambivalent_warning``    a table's grading crossed the break-even

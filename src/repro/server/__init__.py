@@ -5,6 +5,10 @@ The serving layer of the reproduction: a thread-safe buffer pool (in
 with per-query I/O isolation, cooperative timeout/cancellation and a
 metrics registry.  See README.md § "Concurrent query service".
 
+:mod:`repro.server.pipeline` holds the one serving pipeline (admit →
+cache → execute → observe); :class:`QueryService` is its local-session
+backend and :class:`repro.shard.ShardRouter` its scatter-gather backend.
+
 Quickstart::
 
     from repro import Catalog
@@ -37,7 +41,8 @@ from repro.server.metrics import (
     MetricsRegistry,
 )
 from repro.server.report import render_metrics, render_workload
-from repro.server.service import QueryJob, QueryService
+from repro.server.pipeline import QueryJob, ServingPipeline
+from repro.server.service import QueryService
 from repro.server.workload import (
     WorkloadDriver,
     WorkloadOutcome,
@@ -62,6 +67,7 @@ __all__ = [
     "ServerError",
     "ServerOverloadedError",
     "ServerShutdownError",
+    "ServingPipeline",
     "TicketState",
     "WorkloadDriver",
     "WorkloadOutcome",

@@ -23,39 +23,26 @@ of SMA indexes), with
 Each worker thread owns a private :class:`~repro.query.session.Session`
 (planners are cheap and stateless; sessions are not shared across
 threads), while the catalog, pool and SMA sets are shared read-only.
+
+Admission, the result cache's single-flight protocol, outcome accounting
+and the event/ledger trail are the shared
+:class:`~repro.server.pipeline.ServingPipeline`; this module is its
+*local* execution backend.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 
-from repro.errors import (
-    PlanningError,
-    QueryCancelledError,
-    QueryTimeoutError,
-    ServerOverloadedError,
-)
-from repro.obs.collect import build_ledger
+from repro.errors import PlanningError
 from repro.obs.events import EventLog
-from repro.obs.trace import Span, resolve_tracer
-from repro.query.cache import HIT, ResultCache, plan_fingerprint, query_tables
-from repro.query.planner import Explanation, PlanInfo
-from repro.query.query import (
-    AggregateQuery,
-    DeleteStatement,
-    DmlStatement,
-    ExplainQuery,
-    InsertStatement,
-    ScanQuery,
-    UpdateStatement,
-)
+from repro.query.planner import Explanation
+from repro.query.query import AggregateQuery, ExplainQuery, ScanQuery
 from repro.query.session import QueryResult, Session
-from repro.server.executor import QueryExecutor, QueryTicket, TicketState
+from repro.server.executor import QueryTicket
 from repro.server.metrics import MetricsRegistry
+from repro.server.pipeline import QueryJob, ServingPipeline
 from repro.storage.catalog import Catalog
 from repro.storage.disk import DiskModel, PAPER_DISK
 from repro.storage.stats import IoStats
@@ -65,43 +52,7 @@ from repro.storage.stats import IoStats
 _NO_CM = nullcontext()
 
 
-@dataclass(frozen=True)
-class QueryJob:
-    """What one ticket carries: the query and its execution knobs."""
-
-    query: AggregateQuery | ScanQuery | DmlStatement | str
-    mode: str = "auto"
-    sma_set: str | None = None
-    #: metrics bucket ("q1", "range_scan", ...); defaults by query class
-    kind: str = "query"
-    #: per-query root span (created at submit, finished by the worker) —
-    #: None when tracing is disabled
-    trace: Span | None = None
-    #: remote trace context ({"trace_id", "parent_span_id"}) when this
-    #: job arrived over the shard wire — events carry the *global*
-    #: (router-side) trace id so they join against the merged tree
-    trace_ctx: dict | None = None
-    #: stop aggregate queries before finalize and return the raw
-    #: :class:`~repro.query.session.PartialQueryResult` (shard workers)
-    partial: bool = False
-    #: write-path job: tracked on the write-queue depth gauge and, on
-    #: success, on the ingest counters/events
-    is_dml: bool = False
-
-
-_DML_PREFIXES = ("INSERT", "UPDATE", "DELETE")
-
-
-def _looks_like_dml(query: AggregateQuery | ScanQuery | DmlStatement | str) -> bool:
-    """Whether a submission targets the write path (objects or SQL text)."""
-    if isinstance(query, (InsertStatement, UpdateStatement, DeleteStatement)):
-        return True
-    if isinstance(query, str):
-        return query.lstrip().upper().startswith(_DML_PREFIXES)
-    return False
-
-
-class QueryService:
+class QueryService(ServingPipeline):
     """Admission-controlled concurrent execution over one shared catalog.
 
     Parameters
@@ -164,91 +115,58 @@ class QueryService:
         cache_entries: int = 256,
         shared_scans: bool = False,
     ):
+        super().__init__(
+            workers=workers,
+            queue_depth=queue_depth,
+            default_timeout_s=default_timeout_s,
+            disk_model=disk_model,
+            metrics=metrics,
+            tracer=tracer,
+            events=events,
+            result_cache=result_cache,
+            cache_entries=cache_entries,
+            scan_signature={
+                "workers": int(scan_workers),
+                "morsel_buckets": morsel_buckets,
+                "backend": scan_backend,
+            },
+            start_info={"scan_workers": scan_workers, "scan_backend": scan_backend},
+        )
         self.catalog = catalog
-        self.disk_model = disk_model
-        self.default_timeout_s = default_timeout_s
         self.scan_workers = scan_workers
         self.morsel_buckets = morsel_buckets
         self.scan_backend = scan_backend
-        #: plan-fingerprint result cache (None = disabled).  Keys carry
-        #: the per-table ingest epoch, so epoch advance is the natural
-        #: invalidation; quarantine and go_cold() evict eagerly.
-        self.result_cache = ResultCache(cache_entries) if result_cache else None
         #: cooperative shared-scan dispatcher (None = disabled).
         self.shared_scans = None
         if shared_scans:
             from repro.query.sharedscan import SharedScanDispatcher
 
             self.shared_scans = SharedScanDispatcher()
-        #: the scan-parameter slice of every cache key this service mints
-        self._scan_signature = {
-            "workers": int(scan_workers),
-            "morsel_buckets": morsel_buckets,
-            "backend": scan_backend,
-        }
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.set_scan_info(
             backend=scan_backend, scan_workers=scan_workers
         )
-        self.tracer = resolve_tracer(tracer)
-        self.events = events
         self.slow_query_s = slow_query_s
-        if events is not None and self.tracer.enabled:
-            self.tracer.add_sink(
-                lambda root: events.emit("trace", trace=root.to_dict())
-            )
         self._sessions = threading.local()
-        self._executor = QueryExecutor(
-            self._run_job,
-            workers=workers,
-            queue_depth=queue_depth,
-            skipped_fn=self._record_skipped,
-        )
         # Surface planner quarantines as metrics + events.  The catalog
-        # outlives this service, so shutdown() must unsubscribe — stale
+        # outlives this service, so _release() must unsubscribe — stale
         # listeners would push events into closed logs.
         catalog.integrity.add_listener(self._on_integrity_event)
         # go_cold() must drop the result cache together with the buffer
-        # pool and decode caches; unregistered again at shutdown.
+        # pool and decode caches (quarantine evicts eagerly too);
+        # unregistered again at shutdown.
         self._cold_hook = None
         if self.result_cache is not None:
             self._cold_hook = self.result_cache.clear
             catalog.add_cold_hook(self._cold_hook)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle & observability
     # ------------------------------------------------------------------
 
-    @property
-    def workers(self) -> int:
-        return self._executor.workers
-
-    @property
-    def queue_depth(self) -> int:
-        return self._executor.queue_depth
-
-    def start(self) -> "QueryService":
-        self._executor.start()
-        if self.events is not None:
-            self.events.emit(
-                "server_start",
-                workers=self.workers,
-                queue_depth=self.queue_depth,
-                scan_workers=self.scan_workers,
-                scan_backend=self.scan_backend,
-                started_at=self.metrics.started_at,
-            )
-        return self
-
-    def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:
+    def _release(self) -> None:
         self.catalog.integrity.remove_listener(self._on_integrity_event)
         if self._cold_hook is not None:
             self.catalog.remove_cold_hook(self._cold_hook)
-        self._executor.shutdown(wait=wait, cancel_pending=cancel_pending)
-        if self.events is not None:
-            self.events.emit(
-                "server_stop", queries=self.metrics.snapshot()["queries"]
-            )
 
     def _on_integrity_event(self, event: str, info: dict) -> None:
         """Integrity-monitor listener: count + publish quarantines/repairs."""
@@ -262,15 +180,7 @@ class QueryService:
             # quarantine fallback routes them to the heap.
             table = info.get("table", "")
             if table:
-                if self.result_cache is not None:
-                    evicted = self.result_cache.invalidate_table(table)
-                    if evicted and self.events is not None:
-                        self.events.emit(
-                            "cache_invalidate",
-                            table=table,
-                            entries=evicted,
-                            reason="sma_quarantined",
-                        )
+                self._evict_table(table, "sma_quarantined")
                 if self.shared_scans is not None:
                     poisoned = self.shared_scans.poison(
                         table, "sma_quarantined"
@@ -294,31 +204,15 @@ class QueryService:
             self.events.emit(event, **info)
 
     def observed_snapshot(self) -> dict:
-        """The metrics snapshot plus the event log's own stats.
-
-        This is what the ``/metrics`` and ``/snapshot`` endpoints serve,
-        so drop counters of the observability pipeline are themselves
-        observable.
-        """
-        snapshot = self.metrics.snapshot()
+        snapshot = super().observed_snapshot()
         scan = snapshot.get("scan")
         if scan is not None and self.scan_backend == "process":
             from repro.query import procpool
 
             scan["pool"] = procpool.pool_gauges(self.catalog.root_dir)
-        if self.result_cache is not None:
-            snapshot["result_cache"] = self.result_cache.snapshot()
         if self.shared_scans is not None:
             snapshot["shared_scan"] = self.shared_scans.snapshot()
-        if self.events is not None:
-            snapshot["events"] = self.events.stats()
         return snapshot
-
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown(wait=True, cancel_pending=True)
 
     # ------------------------------------------------------------------
     # submission
@@ -335,86 +229,22 @@ class QueryService:
         partial: bool = False,
         trace_ctx: dict | None = None,
     ) -> QueryTicket:
-        """Admit one query; returns its ticket or raises
-        :class:`~repro.errors.ServerOverloadedError` when the queue is full.
+        """:meth:`ServingPipeline.submit` plus the shard-worker knobs.
 
-        *query* is a logical query object, a DML statement, or a SQL
-        string.  ``partial=True`` runs aggregate queries only up to
-        their un-finalized aggregation state (the shard-worker execution
+        ``partial=True`` runs aggregate queries only up to their
+        un-finalized aggregation state (the shard-worker execution
         path); scan queries execute normally.  ``trace_ctx`` is the
         remote trace context a shard worker received over the wire
         (``{"trace_id", "parent_span_id"}``): the local root span is
         annotated with it so the router's collector can verify the
         graft, and this service's events carry the global trace id.
         """
-        is_dml = _looks_like_dml(query)
-        if kind is None:
-            if is_dml:
-                kind = "dml"
-            else:
-                kind = (
-                    "aggregate"
-                    if isinstance(query, AggregateQuery)
-                    else "scan" if isinstance(query, ScanQuery) else "sql"
-                )
-        trace = None
-        if self.tracer.enabled:
-            # Root span opens at submit so its duration covers the queue
-            # wait; the worker thread adopts and finishes it.
-            trace = self.tracer.begin("query", root=True)
-            trace.annotate(kind=kind, mode=mode, query=str(query))
-            if trace_ctx is not None:
-                trace.annotate(
-                    remote_trace_id=trace_ctx.get("trace_id"),
-                    remote_parent_span_id=trace_ctx.get("parent_span_id"),
-                )
-        job = QueryJob(
-            query=query,
-            mode=mode,
-            sma_set=sma_set,
-            kind=kind,
-            trace=trace,
-            trace_ctx=trace_ctx,
-            partial=partial,
-            is_dml=is_dml,
+        return self._admit(
+            query, mode, sma_set, timeout_s, kind, partial, trace_ctx
         )
-        timeout = timeout_s if timeout_s is not None else self.default_timeout_s
-        try:
-            ticket = self._executor.submit(job, timeout_s=timeout)
-        except ServerOverloadedError:
-            self.metrics.record_rejected()
-            if self.events is not None:
-                self.events.emit("query_rejected", kind=kind, query=str(query))
-            raise
-        self.metrics.record_submitted()
-        if is_dml:
-            self.metrics.write_queue_enter()
-        if trace is not None:
-            trace.annotate(ticket=ticket.id)
-        if self.events is not None:
-            self.events.emit(
-                "query_start",
-                ticket=ticket.id,
-                kind=kind,
-                query=str(query),
-                trace_id=self._trace_id(job),
-            )
-        return ticket
 
-    def execute(
-        self,
-        query: AggregateQuery | ScanQuery | str,
-        *,
-        mode: str = "auto",
-        sma_set: str | None = None,
-        timeout_s: float | None = None,
-        kind: str | None = None,
-    ) -> QueryResult:
-        """Synchronous convenience: submit and wait for the result."""
-        ticket = self.submit(
-            query, mode=mode, sma_set=sma_set, timeout_s=timeout_s, kind=kind
-        )
-        return ticket.result()
+    # perf/probes.py wraps ``execute`` where this class itself defines it.
+    execute = ServingPipeline.execute
 
     def explain(
         self,
@@ -446,20 +276,6 @@ class QueryService:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _trace_id(job: QueryJob) -> int | None:
-        """The trace id this job's events should join against.
-
-        A wire context wins (events must join the *router's* merged
-        tree, not the worker-local root); otherwise the local root span;
-        None when tracing is off.
-        """
-        if job.trace_ctx is not None:
-            return job.trace_ctx.get("trace_id")
-        if job.trace is not None:
-            return job.trace.trace_id
-        return None
 
     def _session(self) -> Session:
         session = getattr(self._sessions, "session", None)
@@ -493,224 +309,65 @@ class QueryService:
             self._sessions.explain_session = session
         return session
 
-    def _run_job(self, ticket: QueryTicket) -> QueryResult:
-        job: QueryJob = ticket.payload
-        wait = ticket.queue_wait_s
-        if wait is not None:
-            self.metrics.record_queue_wait(wait)
-        trace = job.trace
-        if trace is not None and wait is not None:
-            self.tracer.record_span(
-                "queue_wait", parent=trace, duration_s=wait
-            )
+    def _execute(self, ticket: QueryTicket, job: QueryJob) -> QueryResult:
         session = self._session()
-        window = IoStats()
-        pool = self.catalog.pool
-        outcome = "completed"
-        cache_note = {"cache": "bypass"}
-        try:
-            # Adopt the submit-side root span on this worker thread, so
-            # everything the session opens parents under it.
-            with self.tracer.activate(trace) if trace is not None else _NO_CM:
-                # DML runs without the cancel/deadline hooks: a write
-                # batch aborted mid-apply would leave a pending intent
-                # for repair; writes finish, then the ticket settles.
-                with pool.query_context(
-                    window,
-                    cancel_event=None if job.is_dml else ticket.cancel_event,
-                    deadline=None if job.is_dml else ticket.deadline,
-                ):
-                    query = job.query
-                    if job.partial and isinstance(query, str):
-                        from repro.sql.parser import parse_statement
+        trace = job.trace
+        # Adopt the submit-side root span on this worker thread, so
+        # everything the session opens parents under it.  DML runs
+        # without the cancel/deadline hooks: a write batch aborted
+        # mid-apply would leave a pending intent for repair; writes
+        # finish, then the ticket settles.
+        with (
+            self.tracer.activate(trace) if trace is not None else _NO_CM,
+            self.catalog.pool.query_context(
+                IoStats(),
+                cancel_event=None if job.is_dml else ticket.cancel_event,
+                deadline=None if job.is_dml else ticket.deadline,
+            ),
+        ):
+            query = job.query
+            if isinstance(query, str) and (
+                job.partial
+                or not job.is_dml
+                and (self.result_cache is not None or self.shared_scans is not None)
+            ):
+                # SQL reads parse up-front so the cache and the shared-
+                # scan dispatcher see the logical plan (this is also
+                # what makes fingerprints whitespace-insensitive).
+                # EXPLAIN and anything else stays a string and takes the
+                # session.sql path below, uncached.
+                from repro.sql.parser import parse_statement
 
-                        query = parse_statement(query)
-                    elif (
-                        isinstance(query, str)
-                        and not job.is_dml
-                        and (
-                            self.result_cache is not None
-                            or self.shared_scans is not None
-                        )
-                    ):
-                        # SQL reads parse up-front so the cache and the
-                        # shared-scan dispatcher see the logical plan
-                        # (this is also what makes fingerprints
-                        # whitespace-insensitive).  EXPLAIN and anything
-                        # else stays a string and takes the session.sql
-                        # path below, uncached.
-                        from repro.sql.parser import parse_statement
-
-                        parsed = parse_statement(query)
-                        if isinstance(parsed, (AggregateQuery, ScanQuery)):
-                            query = parsed
-                    if job.partial and isinstance(query, AggregateQuery):
-                        result = session.execute_partial(
-                            query, mode=job.mode, sma_set=job.sma_set
-                        )
-                    elif isinstance(query, str):
-                        result = session.sql(
-                            query, mode=job.mode, sma_set=job.sma_set
-                        )
-                    elif not job.is_dml and isinstance(
-                        query, (AggregateQuery, ScanQuery)
-                    ):
-                        result = self._execute_read(
-                            session, ticket, job, query, cache_note
-                        )
-                    else:
-                        result = session.execute(
-                            query, mode=job.mode, sma_set=job.sma_set
-                        )
-        except QueryTimeoutError:
-            outcome = "timed_out"
-            self.metrics.record_timeout(job.kind)
-            raise
-        except QueryCancelledError:
-            outcome = "cancelled"
-            self.metrics.record_cancelled(job.kind)
-            raise
-        except BaseException:
-            outcome = "failed"
-            self.metrics.record_failure(job.kind)
-            raise
-        finally:
-            if job.is_dml:
-                self.metrics.write_queue_exit()
-            if trace is not None:
-                trace.annotate(outcome=outcome)
-                self.tracer.finish(trace)
-        self.metrics.record_success(
-            job.kind,
-            result.wall_seconds,
-            result.stats,
-            strategy=result.plan.strategy,
-        )
-        if result.plan.strategy in ("insert", "update", "delete"):
-            self._observe_ingest(ticket, job, result)
-        self._observe_success(ticket, job, result)
-        if trace is not None:
-            # The root finished in the finally above, so the tree is
-            # complete: distill it into the per-query resource ledger.
-            ledger = build_ledger(trace)
-            ledger["cache"] = cache_note["cache"]
-            self.metrics.record_ledger(ledger)
-            if self.events is not None:
-                self.events.emit("query_ledger", **ledger)
-        return result
+                parsed = parse_statement(query)
+                if job.partial or isinstance(parsed, (AggregateQuery, ScanQuery)):
+                    query = parsed
+            if job.partial and isinstance(query, AggregateQuery):
+                return session.execute_partial(
+                    query, mode=job.mode, sma_set=job.sma_set
+                )
+            if isinstance(query, str):
+                return session.sql(query, mode=job.mode, sma_set=job.sma_set)
+            if not job.is_dml and isinstance(query, (AggregateQuery, ScanQuery)):
+                return self._read(ticket, job, query)
+            return session.execute(query, mode=job.mode, sma_set=job.sma_set)
 
     # ------------------------------------------------------------------
     # the cached / shared read path
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _remaining_s(ticket: QueryTicket) -> float | None:
-        """Seconds until the ticket's deadline (None = unbounded)."""
-        if ticket.deadline is None:
-            return None
-        return max(0.0, ticket.deadline - time.monotonic())
+    def _cache_epochs(self, tables) -> dict[str, int]:
+        return {table: self.catalog.ingest_epoch(table) for table in tables}
 
-    def _cache_key(self, query, job: QueryJob) -> tuple[str, dict[str, int]]:
-        """Fingerprint *query* at the tables' current ingest epochs."""
-        epochs = {
-            table: self.catalog.ingest_epoch(table)
-            for table in query_tables(query)
-        }
-        key = plan_fingerprint(
-            query,
-            epochs=epochs,
-            mode=job.mode,
-            sma_set=job.sma_set,
-            scan=self._scan_signature,
-        )
-        return key, epochs
+    def _computed_at(self, query, result: QueryResult, epochs: dict[str, int]):
+        # The session pins the table at execution and reports that
+        # epoch, so a result that raced a DML is re-keyed, not dropped.
+        if result.epoch is None:
+            return epochs
+        return {query.table: result.epoch}
 
-    def _serve_cached(self, cached: QueryResult, wall: float) -> QueryResult:
-        """A fresh result view over a cached entry: same relation bytes,
-        this request's wall clock, zero I/O (nothing was read)."""
-        empty = IoStats()
-        return dataclasses.replace(
-            cached,
-            stats=empty,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(empty),
-            plan=PlanInfo(
-                strategy="result_cache",
-                reason=(
-                    f"plan-fingerprint cache hit at epoch {cached.epoch}"
-                ),
-                table=cached.plan.table,
-            ),
-        )
-
-    def _execute_read(
-        self,
-        session: Session,
-        ticket: QueryTicket,
-        job: QueryJob,
-        query,
-        cache_note: dict,
-    ) -> QueryResult:
-        """Cache lookup → attach-or-lead → solo, in that order."""
-        cache = self.result_cache
-        if cache is None:
-            return self._execute_read_fresh(session, ticket, job, query)
-        started = time.perf_counter()
-        key, epochs = self._cache_key(query, job)
-        verdict, cached = cache.acquire(key, timeout_s=self._remaining_s(ticket))
-        if verdict == HIT:
-            cache_note["cache"] = "hit"
-            if job.trace is not None:
-                job.trace.annotate(cache="hit")
-            if self.events is not None:
-                self.events.emit(
-                    "cache_hit",
-                    ticket=ticket.id,
-                    kind=job.kind,
-                    query=str(query),
-                    epoch=cached.epoch,
-                    trace_id=self._trace_id(job),
-                )
-            return self._serve_cached(cached, time.perf_counter() - started)
-        # LEAD: compute, then publish (or abandon, waking any herd).
-        try:
-            result = self._execute_read_fresh(session, ticket, job, query)
-        except BaseException:
-            cache.abandon(key)
-            raise
-        cache_note["cache"] = "miss"
-        if job.trace is not None:
-            job.trace.annotate(cache="miss")
-        tables = query_tables(query)
-        store_key = key
-        if result.epoch is not None and result.epoch != epochs.get(query.table):
-            # The epoch advanced between fingerprinting and pinning: the
-            # computed result belongs to the *newer* epoch.  Re-key it
-            # there and wake the original herd empty-handed — an entry
-            # keyed at epoch e always holds a result computed at epoch e.
-            cache.abandon(key)
-            store_key = plan_fingerprint(
-                query,
-                epochs={query.table: result.epoch},
-                mode=job.mode,
-                sma_set=job.sma_set,
-                scan=self._scan_signature,
-            )
-        cache.complete(store_key, result, tables)
-        if self.events is not None:
-            self.events.emit(
-                "cache_store",
-                ticket=ticket.id,
-                kind=job.kind,
-                epoch=result.epoch,
-                trace_id=self._trace_id(job),
-            )
-        return result
-
-    def _execute_read_fresh(
-        self, session: Session, ticket: QueryTicket, job: QueryJob, query
-    ) -> QueryResult:
+    def _compute(self, ticket: QueryTicket, job: QueryJob, query) -> QueryResult:
         """One actual execution: shared pass when possible, else solo."""
+        session = self._session()
         if (
             self.shared_scans is not None
             and isinstance(query, AggregateQuery)
@@ -733,7 +390,7 @@ class QueryService:
                         "shared_scan_detach",
                         ticket=ticket.id,
                         table=query.table,
-                        trace_id=self._trace_id(job),
+                        trace_id=job.trace_id,
                     )
             else:
                 if self.events is not None:
@@ -745,49 +402,15 @@ class QueryService:
                         ticket=ticket.id,
                         table=query.table,
                         strategy=strategy,
-                        trace_id=self._trace_id(job),
+                        trace_id=job.trace_id,
                     )
                 return result
         return session.execute(query, mode=job.mode, sma_set=job.sma_set)
 
-    def _observe_ingest(
+    def _observe_completed(
         self, ticket: QueryTicket, job: QueryJob, result: QueryResult
     ) -> None:
-        """Ingest telemetry for one applied DML batch."""
-        rows_affected = result.rows[0][0] if result.rows else 0
-        epoch = result.epoch if result.epoch is not None else 0
-        table = result.plan.table or ""
-        self.metrics.record_ingest(
-            table, result.plan.strategy, rows_affected, epoch
-        )
-        # The epoch bump already makes old fingerprints unreachable;
-        # this sweep just stops dead entries from squatting LRU slots
-        # under sustained ingest.
-        if table and self.result_cache is not None:
-            evicted = self.result_cache.invalidate_table(table)
-            if evicted and self.events is not None:
-                self.events.emit(
-                    "cache_invalidate",
-                    table=table,
-                    entries=evicted,
-                    reason="epoch_advance",
-                )
-        if self.events is not None:
-            self.events.emit(
-                "ingest_applied",
-                ticket=ticket.id,
-                table=table,
-                op=result.plan.strategy,
-                rows_affected=rows_affected,
-                epoch=epoch,
-                latency_s=result.wall_seconds,
-                trace_id=self._trace_id(job),
-            )
-
-    def _observe_success(
-        self, ticket: QueryTicket, job: QueryJob, result: QueryResult
-    ) -> None:
-        """Post-success telemetry: finish event, grading gauges, slow log."""
+        """Grading gauges, the ambivalent warning and the slow-query log."""
         info = result.plan
         crossed = False
         if info.table is not None and info.fraction_ambivalent is not None:
@@ -799,17 +422,6 @@ class QueryService:
             )
         if self.events is None:
             return
-        self.events.emit(
-            "query_finish",
-            ticket=ticket.id,
-            kind=job.kind,
-            outcome="completed",
-            latency_s=result.wall_seconds,
-            simulated_s=result.simulated_seconds,
-            strategy=info.strategy,
-            io=result.stats.as_dict(),
-            trace_id=self._trace_id(job),
-        )
         if crossed:
             self.events.emit(
                 "ambivalent_warning",
@@ -817,7 +429,7 @@ class QueryService:
                 fraction_ambivalent=info.fraction_ambivalent,
                 break_even=self.metrics.ambivalent_break_even,
                 sma_set=info.sma_set_name,
-                trace_id=self._trace_id(job),
+                trace_id=job.trace_id,
             )
         if (
             self.slow_query_s is not None
@@ -841,29 +453,5 @@ class QueryService:
                 threshold_s=self.slow_query_s,
                 query=str(job.query),
                 explain=plan_text,
-                trace_id=self._trace_id(job),
-            )
-
-    def _record_skipped(self, ticket: QueryTicket) -> None:
-        """Metrics for tickets settled without running (queued-cancel/expire)."""
-        job: QueryJob = ticket.payload
-        if job.is_dml:
-            self.metrics.write_queue_exit()
-        if ticket.state is TicketState.TIMED_OUT:
-            outcome = "timed_out"
-            self.metrics.record_timeout(job.kind)
-        else:
-            outcome = "cancelled"
-            self.metrics.record_cancelled(job.kind)
-        if job.trace is not None:
-            job.trace.annotate(outcome=outcome, skipped=True)
-            self.tracer.finish(job.trace)
-        if self.events is not None:
-            self.events.emit(
-                "query_finish",
-                ticket=ticket.id,
-                kind=job.kind,
-                outcome=outcome,
-                skipped=True,
-                trace_id=self._trace_id(job),
+                trace_id=job.trace_id,
             )

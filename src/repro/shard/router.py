@@ -1,13 +1,15 @@
 """Scatter-gather router over a fleet of shard workers.
 
-:class:`ShardRouter` fronts N shard workers with the exact service shape
-:class:`~repro.server.service.QueryService` exposes — ``submit`` with
-admission control, tickets, a metrics registry — so workload drivers and
-the serve CLI run unchanged against it.  Each admitted query is
-scattered to every shard concurrently; the gathered per-shard partials
-merge **in shard order**, which (shards own contiguous bucket ranges in
-that same order) reconstructs the single-node contribution order exactly
-and finalizes to byte-identical results.
+:class:`ShardRouter` fronts N shard workers with the same
+:class:`~repro.server.pipeline.ServingPipeline` that
+:class:`~repro.server.service.QueryService` runs on — ``submit`` with
+admission control, tickets, a metrics registry, the result cache — so
+workload drivers and the serve CLI run unchanged against it; this module
+is the pipeline's *scatter-gather* execution backend.  Each admitted
+query is scattered to every shard concurrently; the gathered per-shard
+partials merge **in shard order**, which (shards own contiguous bucket
+ranges in that same order) reconstructs the single-node contribution
+order exactly and finalizes to byte-identical results.
 
 Failure policy: a scatter-gathered relation is all-or-nothing.  If any
 shard cannot answer — even after
@@ -32,34 +34,31 @@ import repro.errors as errors_module
 from repro.errors import (
     PlanningError,
     ReproError,
-    ServerOverloadedError,
     ShardError,
     ShardProtocolError,
     ShardUnavailableError,
 )
 from repro.lang.serde import query_to_json
-from repro.obs.collect import build_ledger, graft_remote_trace
-from repro.query.cache import HIT, ResultCache, plan_fingerprint, query_tables
+from repro.obs.collect import graft_remote_trace
 from repro.obs.events import EventLog
-from repro.obs.trace import Span, resolve_tracer
+from repro.obs.trace import Span
 from repro.query.planner import PlanInfo
 from repro.query.query import (
     AggregateQuery,
-    DeleteStatement,
     DmlStatement,
+    ExplainQuery,
     InsertStatement,
     ScanQuery,
-    UpdateStatement,
 )
 from repro.query.session import QueryResult, _sort_rows
-from repro.server.executor import QueryExecutor, QueryTicket, TicketState
+from repro.server.executor import QueryTicket
 from repro.server.metrics import LatencyRecorder, MetricsRegistry
+from repro.server.pipeline import QueryJob, ServingPipeline
 from repro.shard.manifest import ShardManifest
 from repro.shard.protocol import execute_dml_frame, recv_message, send_message
 from repro.shard.state_serde import rows_from_wire, state_from_wire, stats_from_wire
 from repro.storage.disk import PAPER_DISK, DiskModel
 from repro.storage.faults import RetryPolicy
-from repro.storage.stats import IoStats
 
 
 def _map_remote_error(info: dict, shard_id: int) -> ReproError:
@@ -252,26 +251,18 @@ class ShardScoreboard:
             }
 
 
-@dataclass(frozen=True)
-class _RouterJob:
-    query: AggregateQuery | ScanQuery | DmlStatement
-    mode: str = "auto"
-    sma_set: str | None = None
-    kind: str = "query"
-    #: per-query root span (created at submit, finished by the router
-    #: worker after the gather) — None when tracing is disabled
-    trace: Span | None = None
-
-
-class ShardRouter:
+class ShardRouter(ServingPipeline):
     """Admission-controlled scatter-gather execution over shard workers.
 
-    Duck-typed to :class:`~repro.server.service.QueryService`:
-    ``submit``/``execute`` with the same signatures, ``.metrics``,
-    ``observed_snapshot()`` — so
+    The same :class:`~repro.server.pipeline.ServingPipeline` that
+    :class:`~repro.server.service.QueryService` runs on — ``submit`` /
+    ``execute``, tickets, ``.metrics``, ``observed_snapshot()`` — with
+    scatter-gather as the execution backend, so
     :class:`~repro.server.workload.WorkloadDriver` and the metrics
     endpoint work unchanged on a sharded deployment.
     """
+
+    _role = "router"
 
     def __init__(
         self,
@@ -291,41 +282,37 @@ class ShardRouter:
     ):
         if not endpoints:
             raise ShardError("a router needs at least one shard endpoint")
-        self.manifest = manifest
-        self.disk_model = disk_model
-        self.default_timeout_s = default_timeout_s
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events
         # With a tracer, every routed query gets a root span, each
         # scatter leg a ``shard_execute`` child carrying its wire trace
         # context, and the workers' exported span trees are grafted back
         # so one tree covers the whole distributed execution.
-        self.tracer = resolve_tracer(tracer)
-        if events is not None and self.tracer.enabled:
-            self.tracer.add_sink(
-                lambda root: events.emit("trace", trace=root.to_dict())
-            )
+        super().__init__(
+            workers=workers,
+            queue_depth=queue_depth,
+            default_timeout_s=default_timeout_s,
+            disk_model=disk_model,
+            metrics=metrics,
+            tracer=tracer,
+            events=events,
+            result_cache=result_cache,
+            cache_entries=cache_entries,
+            scan_signature={"shards": len(endpoints)},
+            start_info={"shards": len(endpoints)},
+        )
+        self.manifest = manifest
         self.clients = [
             ShardClient(endpoint, retry_policy=retry_policy)
             for endpoint in sorted(endpoints, key=lambda e: e.shard_id)
         ]
         self.scoreboard = ShardScoreboard(len(self.clients))
-        # Router-side plan-fingerprint cache: keyed on the merged-epoch
-        # clock (advanced on every DML the router itself gathers), so a
-        # write through this router moves every affected plan to a fresh
-        # key and stale entries age out of the LRU.  Writes bypassing
-        # the router are invisible to this clock — same single-writer
-        # assumption the shard manifest already makes.
-        self.result_cache = ResultCache(cache_entries) if result_cache else None
+        # The result cache is keyed on this merged-epoch clock (advanced
+        # on every DML the router itself gathers), so a write through
+        # this router moves every affected plan to a fresh key and stale
+        # entries age out of the LRU.  Writes bypassing the router are
+        # invisible to this clock — same single-writer assumption the
+        # shard manifest already makes.
         self._epoch_lock = threading.Lock()
         self._table_epochs: dict[str, int] = {}
-        self._executor = QueryExecutor(
-            self._run_job,
-            workers=workers,
-            queue_depth=queue_depth,
-            skipped_fn=self._record_skipped,
-            name="repro-router",
-        )
         # Sized so every router worker can scatter to every shard at
         # once — a full fan-out never waits on another query's fan-out.
         self._scatter_pool = ThreadPoolExecutor(
@@ -337,44 +324,10 @@ class ShardRouter:
     def num_shards(self) -> int:
         return len(self.clients)
 
-    @property
-    def workers(self) -> int:
-        return self._executor.workers
-
-    @property
-    def queue_depth(self) -> int:
-        return self._executor.queue_depth
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ShardRouter":
-        self._executor.start()
-        if self.events is not None:
-            self.events.emit(
-                "router_start",
-                shards=self.num_shards,
-                workers=self.workers,
-                queue_depth=self.queue_depth,
-            )
-        return self
-
-    def shutdown(self, *, wait: bool = True, cancel_pending: bool = False) -> None:
-        self._executor.shutdown(wait=wait, cancel_pending=cancel_pending)
+    def _release(self) -> None:
         self._scatter_pool.shutdown(wait=False)
         for client in self.clients:
             client.close()
-        if self.events is not None:
-            self.events.emit(
-                "router_stop", queries=self.metrics.snapshot()["queries"]
-            )
-
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown(wait=True, cancel_pending=True)
 
     # ------------------------------------------------------------------
     # health & observability
@@ -397,12 +350,8 @@ class ShardRouter:
         return out
 
     def observed_snapshot(self) -> dict:
-        snapshot = self.metrics.snapshot()
+        snapshot = super().observed_snapshot()
         snapshot["shard"] = self.scoreboard.snapshot()
-        if self.result_cache is not None:
-            snapshot["result_cache"] = self.result_cache.snapshot()
-        if self.events is not None:
-            snapshot["events"] = self.events.stats()
         return snapshot
 
     def shard_metrics(self) -> dict[int, dict]:
@@ -418,101 +367,75 @@ class ShardRouter:
         return out
 
     # ------------------------------------------------------------------
-    # submission (QueryService-shaped)
+    # the scatter-gather execution backend
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        query: AggregateQuery | ScanQuery | str,
-        *,
-        mode: str = "auto",
-        sma_set: str | None = None,
-        timeout_s: float | None = None,
-        kind: str | None = None,
-    ) -> QueryTicket:
-        if isinstance(query, str):
-            from repro.query.query import ExplainQuery
-            from repro.sql.parser import parse_statement
+    def _normalise(self, query):
+        """Parse SQL at submit: legs ship logical plans, never text."""
+        if not isinstance(query, str):
+            return query
+        from repro.sql.parser import parse_statement
 
-            statement = parse_statement(query)
-            if isinstance(statement, ExplainQuery):
-                raise PlanningError(
-                    "EXPLAIN is served by `repro explain`, not the router"
-                )
-            if not isinstance(
-                statement,
-                (
-                    AggregateQuery,
-                    ScanQuery,
-                    InsertStatement,
-                    UpdateStatement,
-                    DeleteStatement,
-                ),
-            ):
-                raise PlanningError(
-                    "the shard router serves SELECT and DML statements only"
-                )
-            query = statement
-        if kind is None:
-            if isinstance(query, DmlStatement):
-                kind = "dml"
-            elif isinstance(query, AggregateQuery):
-                kind = "aggregate"
-            else:
-                kind = "scan"
-        trace = None
-        if self.tracer.enabled:
-            # Root span opens at submit so its duration covers the queue
-            # wait; the router worker finishes it after the gather.
-            trace = self.tracer.begin("query", root=True)
-            trace.annotate(
-                kind=kind, mode=mode, query=str(query), shards=self.num_shards
+        statement = parse_statement(query)
+        if isinstance(statement, ExplainQuery):
+            raise PlanningError(
+                "EXPLAIN is served by `repro explain`, not the router"
             )
-        job = _RouterJob(
-            query=query, mode=mode, sma_set=sma_set, kind=kind, trace=trace
+        if not isinstance(
+            statement, (AggregateQuery, ScanQuery, DmlStatement)
+        ):
+            raise PlanningError(
+                "the shard router serves SELECT and DML statements only"
+            )
+        return statement
+
+    def _execute(self, ticket: QueryTicket, job: QueryJob) -> QueryResult:
+        if job.trace is not None:
+            job.trace.annotate(shards=self.num_shards)
+        if not job.is_dml:
+            return self._read(ticket, job, job.query)
+        request = execute_dml_frame(
+            query_to_json(job.query), timeout_s=self._remaining_s(ticket)
         )
-        timeout = timeout_s if timeout_s is not None else self.default_timeout_s
-        try:
-            ticket = self._executor.submit(job, timeout_s=timeout)
-        except ServerOverloadedError:
-            self.metrics.record_rejected()
-            if trace is not None:
-                trace.annotate(outcome="rejected")
-                self.tracer.finish(trace)
-            if self.events is not None:
-                self.events.emit(
-                    "query_rejected", kind=kind, query=str(query)
-                )
-            raise
-        self.metrics.record_submitted()
-        if trace is not None:
-            trace.annotate(ticket=ticket.id)
-        if self.events is not None:
-            self.events.emit(
-                "query_start",
-                ticket=ticket.id,
-                kind=kind,
-                query=str(query),
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        return ticket
+        return self._scatter(job, self._route_dml(job.query), request)
 
-    def execute(
-        self,
-        query: AggregateQuery | ScanQuery | str,
-        *,
-        mode: str = "auto",
-        sma_set: str | None = None,
-        timeout_s: float | None = None,
-        kind: str | None = None,
+    def _compute(self, ticket: QueryTicket, job: QueryJob, query) -> QueryResult:
+        request = {
+            "op": "execute",
+            "query": query_to_json(query),
+            "mode": job.mode,
+            "sma_set": job.sma_set,
+            "kind": job.kind,
+            "timeout_s": self._remaining_s(ticket),
+        }
+        return self._scatter(job, self.clients, request)
+
+    def _scatter(
+        self, job: QueryJob, targets: list[ShardClient], request: dict
     ) -> QueryResult:
-        return self.submit(
-            query, mode=mode, sma_set=sma_set, timeout_s=timeout_s, kind=kind
-        ).result()
-
-    # ------------------------------------------------------------------
-    # scatter / gather
-    # ------------------------------------------------------------------
+        """Send *request* to every target at once; gather in shard order."""
+        started = time.perf_counter()
+        self.scoreboard.record_scatter(len(targets))
+        futures = [
+            self._scatter_pool.submit(self._subquery, client, request, job.trace)
+            for client in targets
+        ]
+        replies: list[dict] = []
+        first_error: BaseException | None = None
+        for future in futures:  # gather in shard order
+            try:
+                reply, _elapsed = future.result()
+                replies.append(reply["result"])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                if first_error is None:
+                    first_error = exc
+        if first_error is not None:
+            # Partial-result refusal: one failed shard fails the query,
+            # and a write that reached some shards but not others is a
+            # reported failure, never a silent partial application.
+            raise first_error
+        gather = self._gather_dml if job.is_dml else self._gather
+        return gather(job, replies, started)
 
     def _subquery(
         self,
@@ -569,155 +492,22 @@ class ShardRouter:
                 graft_remote_trace(self.tracer, span, remote)
         return reply, elapsed
 
-    def _run_job(self, ticket: QueryTicket) -> QueryResult:
-        job: _RouterJob = ticket.payload
-        wait = ticket.queue_wait_s
-        if wait is not None:
-            self.metrics.record_queue_wait(wait)
-        trace = job.trace
-        if trace is not None and wait is not None:
-            self.tracer.record_span("queue_wait", parent=trace, duration_s=wait)
-        if isinstance(job.query, DmlStatement):
-            return self._run_dml_job(ticket, job)
-        started = time.perf_counter()
-        cache = self.result_cache
-        cache_outcome = "bypass"
-        key: str | None = None
-        epochs: dict[str, int] | None = None
-        tables: frozenset[str] = frozenset()
-        result: QueryResult | None = None
-        if cache is not None:
-            tables = query_tables(job.query)
-            epochs = self._cache_epochs(tables)
-            key = plan_fingerprint(
-                job.query,
-                epochs=epochs,
-                mode=job.mode,
-                sma_set=job.sma_set,
-                scan={"shards": self.num_shards},
-            )
-            wait_s = None
-            if ticket.deadline is not None:
-                wait_s = max(0.001, ticket.deadline - time.monotonic())
-            outcome, cached = cache.acquire(key, timeout_s=wait_s)
-            if outcome == HIT and cached is not None:
-                cache_outcome = "hit"
-                result = self._serve_cached(
-                    cached, time.perf_counter() - started
-                )
-                if self.events is not None:
-                    self.events.emit(
-                        "cache_hit",
-                        ticket=ticket.id,
-                        table=result.plan.table,
-                        key=key[:16],
-                    )
-        done = False
-        try:
-            if result is None:
-                try:
-                    result = self._scatter_read(job, ticket, started, trace)
-                except BaseException:
-                    if key is not None:
-                        cache.abandon(key)
-                    raise
-                if key is not None:
-                    cache_outcome = "miss"
-                    # A DML may have been gathered while this read was in
-                    # flight; an entry is only stored when the epoch clock
-                    # is unchanged, so a cached result always matches the
-                    # epochs in its key.
-                    if self._cache_epochs(tables) == epochs:
-                        cache.complete(key, result, tables)
-                        if self.events is not None:
-                            self.events.emit(
-                                "cache_store",
-                                ticket=ticket.id,
-                                table=result.plan.table,
-                                key=key[:16],
-                            )
-                    else:
-                        cache.abandon(key)
-            done = True
-        except ReproError:
-            self.metrics.record_failure(job.kind)
-            raise
-        finally:
-            if trace is not None:
-                trace.annotate(
-                    outcome="completed" if done else "failed",
-                    cache=cache_outcome,
-                )
-                self.tracer.finish(trace)
-        self.metrics.record_success(
-            job.kind,
-            result.wall_seconds,
-            result.stats,
-            strategy=result.plan.strategy,
-        )
-        if self.events is not None:
-            self.events.emit(
-                "query_finish",
-                ticket=ticket.id,
-                kind=job.kind,
-                outcome="completed",
-                latency_s=result.wall_seconds,
-                simulated_s=result.simulated_seconds,
-                strategy=result.plan.strategy,
-                io=result.stats.as_dict(),
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        self._observe_ledger(trace, cache=cache_outcome)
-        return result
-
-    def _scatter_read(
-        self,
-        job: _RouterJob,
-        ticket: QueryTicket,
-        started: float,
-        trace: Span | None,
-    ) -> QueryResult:
-        """Scatter one read to every shard and gather the merged result."""
-        remaining = None
-        if ticket.deadline is not None:
-            remaining = max(0.001, ticket.deadline - time.monotonic())
-        request = {
-            "op": "execute",
-            "query": query_to_json(job.query),
-            "mode": job.mode,
-            "sma_set": job.sma_set,
-            "kind": job.kind,
-            "timeout_s": remaining,
-        }
-        self.scoreboard.record_scatter(self.num_shards)
-        futures = [
-            self._scatter_pool.submit(self._subquery, client, request, trace)
-            for client in self.clients
-        ]
-        replies: list[dict] = []
-        first_error: BaseException | None = None
-        for future in futures:  # gather in shard order
-            try:
-                reply, _elapsed = future.result()
-                replies.append(reply["result"])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            # Partial-result refusal: one failed shard fails the query.
-            raise first_error
-        return self._gather(job, replies, started)
-
     # ------------------------------------------------------------------
-    # router-side result cache
+    # the merged-epoch clock behind the result cache
     # ------------------------------------------------------------------
 
-    def _cache_epochs(self, tables: frozenset[str]) -> dict[str, int]:
+    def _cache_epochs(self, tables) -> dict[str, int]:
         """Snapshot of the router's per-table merged-epoch clock."""
         with self._epoch_lock:
             return {table: self._table_epochs.get(table, 0) for table in tables}
 
-    def _bump_epoch(self, table: str, epoch: int) -> None:
+    def _computed_at(self, query, result: QueryResult, epochs: dict[str, int]):
+        # Each leg pins its shard on its own, so the epochs a gathered
+        # result was computed at are known only when no DML was gathered
+        # while the read was in flight — when the clock did not move.
+        return epochs if self._cache_epochs(epochs) == epochs else None
+
+    def _dml_applied(self, table: str, epoch: int) -> None:
         """Advance the clock past every cached fingerprint of *table*.
 
         The clock takes the gathered max shard epoch but always strictly
@@ -727,36 +517,10 @@ class ShardRouter:
         with self._epoch_lock:
             current = self._table_epochs.get(table, 0)
             self._table_epochs[table] = max(current + 1, int(epoch))
-        if self.result_cache is not None:
-            self.result_cache.invalidate_table(table)
 
-    def _serve_cached(self, cached: QueryResult, wall: float) -> QueryResult:
-        """A hit is a copy: fresh stats (a hit does no I/O), real wall."""
-        import dataclasses
-
-        empty = IoStats()
-        return dataclasses.replace(
-            cached,
-            stats=empty,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(empty),
-            plan=PlanInfo(
-                strategy="result_cache",
-                reason="router plan-fingerprint cache hit at merged epoch",
-                table=cached.plan.table,
-            ),
-        )
-
-    def _observe_ledger(self, trace: Span | None, cache: str | None = None) -> None:
-        """Distill one finished merged trace into the resource ledger."""
-        if trace is None:
-            return
-        ledger = build_ledger(trace)
-        if cache is not None:
-            ledger["cache"] = cache
-        self.metrics.record_ledger(ledger)
-        if self.events is not None:
-            self.events.emit("query_ledger", **ledger)
+    # ------------------------------------------------------------------
+    # routing & gathering
+    # ------------------------------------------------------------------
 
     def _route_dml(self, statement: DmlStatement) -> list[ShardClient]:
         """Pick the shard(s) one DML batch applies to.
@@ -772,79 +536,8 @@ class ShardRouter:
             return [self.clients[-1]]
         return list(self.clients)
 
-    def _run_dml_job(self, ticket: QueryTicket, job: _RouterJob) -> QueryResult:
-        trace = job.trace
-        remaining = None
-        if ticket.deadline is not None:
-            remaining = max(0.001, ticket.deadline - time.monotonic())
-        request = execute_dml_frame(
-            query_to_json(job.query), timeout_s=remaining
-        )
-        targets = self._route_dml(job.query)
-        started = time.perf_counter()
-        self.scoreboard.record_scatter(len(targets))
-        futures = [
-            self._scatter_pool.submit(self._subquery, client, request, trace)
-            for client in targets
-        ]
-        replies: list[dict] = []
-        first_error: BaseException | None = None
-        for future in futures:  # gather in shard order
-            try:
-                reply, _elapsed = future.result()
-                replies.append(reply["result"])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        done = False
-        try:
-            if first_error is not None:
-                # A write that reached some shards but not others is a
-                # reported failure, never a silent partial application.
-                raise first_error
-            result = self._gather_dml(job, targets, replies, started)
-            done = True
-        except ReproError:
-            self.metrics.record_failure(job.kind)
-            raise
-        finally:
-            if trace is not None:
-                trace.annotate(outcome="completed" if done else "failed")
-                self.tracer.finish(trace)
-        self.metrics.record_success(
-            job.kind,
-            result.wall_seconds,
-            result.stats,
-            strategy=result.plan.strategy,
-        )
-        self.metrics.record_ingest(
-            job.query.table,
-            result.plan.strategy,
-            int(result.rows[0][0]),
-            int(result.rows[0][1]),
-        )
-        self._bump_epoch(job.query.table, int(result.rows[0][1]))
-        if self.events is not None:
-            self.events.emit(
-                "ingest_applied",
-                ticket=ticket.id,
-                table=job.query.table,
-                op=result.plan.strategy,
-                rows_affected=int(result.rows[0][0]),
-                epoch=int(result.rows[0][1]),
-                shards=len(targets),
-                latency_s=result.wall_seconds,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        self._observe_ledger(trace)
-        return result
-
     def _gather_dml(
-        self,
-        job: _RouterJob,
-        targets: list[ShardClient],
-        replies: list[dict],
-        started: float,
+        self, job: QueryJob, replies: list[dict], started: float
     ) -> QueryResult:
         """Sum per-shard ``rows_affected``; report the max shard epoch."""
         affected = sum(int(reply["rows_affected"]) for reply in replies)
@@ -853,11 +546,10 @@ class ShardRouter:
         for reply in replies[1:]:
             stats.merge(stats_from_wire(reply["stats"]))
         wall = time.perf_counter() - started
-        op = replies[0]["strategy"]
         info = PlanInfo(
-            strategy=op,
+            strategy=replies[0]["strategy"],
             reason=(
-                f"routed to {len(targets)} of {self.num_shards} shard(s); "
+                f"routed to {len(replies)} of {self.num_shards} shard(s); "
                 f"write path intent-logged per shard"
             ),
             table=job.query.table,
@@ -874,7 +566,7 @@ class ShardRouter:
         )
 
     def _gather(
-        self, job: _RouterJob, replies: list[dict], started: float
+        self, job: QueryJob, replies: list[dict], started: float
     ) -> QueryResult:
         """Merge per-shard partials (already in shard order) into one result."""
         query = job.query
@@ -912,18 +604,6 @@ class ShardRouter:
             plan=info,
             warm=all(reply.get("warm", True) for reply in replies),
         )
-
-    def _record_skipped(self, ticket: QueryTicket) -> None:
-        job: _RouterJob = ticket.payload
-        if ticket.state is TicketState.TIMED_OUT:
-            outcome = "timed_out"
-            self.metrics.record_timeout(job.kind)
-        else:
-            outcome = "cancelled"
-            self.metrics.record_cancelled(job.kind)
-        if job.trace is not None:
-            job.trace.annotate(outcome=outcome, skipped=True)
-            self.tracer.finish(job.trace)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ from repro.lang.serde import query_from_json
 from repro.obs.events import EventLog
 from repro.obs.trace import Tracer
 from repro.query.query import AggregateQuery, DmlStatement
+from repro.server.executor import QueryTicket
+from repro.server.pipeline import QueryJob
 from repro.server.service import QueryService
 from repro.shard.protocol import recv_message, send_message
 from repro.shard.state_serde import rows_to_wire, state_to_wire, stats_to_wire
@@ -210,7 +212,6 @@ class ShardWorker:
     def _handle_execute(self, request: dict) -> dict:
         query = query_from_json(request["query"])
         partial = isinstance(query, AggregateQuery)
-        trace_ctx = request.get("trace")
         ticket = self.service.submit(
             query,
             mode=request.get("mode", "auto"),
@@ -218,7 +219,7 @@ class ShardWorker:
             timeout_s=request.get("timeout_s"),
             kind=request.get("kind") or None,
             partial=partial,
-            trace_ctx=trace_ctx,
+            trace_ctx=request.get("trace"),
         )
         result = ticket.result()
         payload: dict = {
@@ -228,7 +229,7 @@ class ShardWorker:
             "strategy": result.plan.strategy,
             "warm": result.warm,
         }
-        self._export_trace(ticket, trace_ctx, payload)
+        self._attach_trace(ticket, payload)
         if partial:
             payload["kind"] = "state"
             payload["state"] = state_to_wire(result.state)
@@ -238,19 +239,14 @@ class ShardWorker:
         return {"ok": True, "result": payload}
 
     @staticmethod
-    def _export_trace(ticket, trace_ctx, payload: dict) -> None:
-        """Ship the finished local span tree when the caller asked for it.
-
-        ``ticket.result()`` has settled, so the job's root span (finished
-        in the service worker's ``finally``) is complete.  Only traced
-        requests pay the serialization; untraced routers get the slim
-        reply they always did.
-        """
-        if trace_ctx is None:
-            return
-        trace = ticket.payload.trace
+    def _attach_trace(ticket: QueryTicket, payload: dict) -> None:
+        """Ship the finished local span tree when the caller asked for it
+        (``ticket.result()`` has settled, so the root span is complete);
+        untraced routers get the slim reply they always did."""
+        job: QueryJob = ticket.payload
+        trace = job.wire_trace()
         if trace is not None:
-            payload["trace"] = trace.to_dict()
+            payload["trace"] = trace
 
     def _handle_execute_dml(self, request: dict) -> dict:
         """Apply one routed DML batch through this shard's write queue.
@@ -265,12 +261,11 @@ class ShardWorker:
                 f"execute_dml frame carries {type(statement).__name__}, "
                 f"not a DML statement"
             )
-        trace_ctx = request.get("trace")
         ticket = self.service.submit(
             statement,
             timeout_s=request.get("timeout_s"),
             kind="dml",
-            trace_ctx=trace_ctx,
+            trace_ctx=request.get("trace"),
         )
         result = ticket.result()
         rows_affected, epoch = result.rows[0]
@@ -282,7 +277,7 @@ class ShardWorker:
             "wall_seconds": result.wall_seconds,
             "stats": stats_to_wire(result.stats),
         }
-        self._export_trace(ticket, trace_ctx, payload)
+        self._attach_trace(ticket, payload)
         return {"ok": True, "result": payload}
 
     def _handle_explain(self, request: dict) -> dict:
