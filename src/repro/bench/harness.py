@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.storage.catalog import Catalog
+# human_* are not used below: the bench modules, tests/bench and examples/
+# import all three formatters from the harness.
+from repro.textfmt import format_table, human_bytes, human_seconds  # noqa: F401
 
 #: latency-percentile metric names: ``p50``, ``p95_s4``, ``read_p99_x`` ...
 _PERCENTILE_RE = re.compile(r"(?:^|_)p\d{1,3}(?:_|$)")
@@ -56,58 +59,6 @@ def metric_unit(name: str) -> str:
     ):
         return "count"
     return "value"
-
-
-def human_bytes(size: float) -> str:
-    """Render a byte count with a binary-unit suffix."""
-    value = float(size)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024 or unit == "TiB":
-            return f"{value:.2f} {unit}"
-        value /= 1024
-    raise AssertionError  # pragma: no cover
-
-
-def human_seconds(seconds: float) -> str:
-    """Render a duration compactly."""
-    if seconds >= 100:
-        return f"{seconds:.0f} s"
-    if seconds >= 1:
-        return f"{seconds:.2f} s"
-    return f"{seconds * 1000:.2f} ms"
-
-
-def format_table(headers: list[str], rows: list[tuple]) -> str:
-    """Monospace-aligned table, right-aligning numeric-looking cells."""
-    cells = [[str(value) for value in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-
-    def is_numeric(text: str) -> bool:
-        stripped = text.replace(",", "").replace("%", "").replace("x", "")
-        stripped = stripped.replace(" s", "").replace(" ms", "")
-        for unit in (" B", " KiB", " MiB", " GiB", " TiB"):
-            stripped = stripped.replace(unit, "")
-        try:
-            float(stripped)
-            return True
-        except ValueError:
-            return False
-
-    def render_row(row: list[str]) -> str:
-        parts = []
-        for i, text in enumerate(row):
-            if is_numeric(text):
-                parts.append(text.rjust(widths[i]))
-            else:
-                parts.append(text.ljust(widths[i]))
-        return "  ".join(parts).rstrip()
-
-    lines = [render_row(headers), "  ".join("-" * w for w in widths)]
-    lines.extend(render_row(row) for row in cells)
-    return "\n".join(lines)
 
 
 @dataclass

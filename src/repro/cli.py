@@ -41,17 +41,38 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from repro.bench.harness import human_bytes, human_seconds
 from repro.query.session import Session
 from repro.storage.catalog import Catalog
+from repro.textfmt import human_bytes, human_seconds
 
 
 def _open_catalog(
     path: str, buffer_pages: int, stripes: int | None = None
 ) -> Catalog:
     return Catalog.discover(path, buffer_pages=buffer_pages, stripes=stripes)
+
+
+def _open_session(args: argparse.Namespace, **kwargs) -> tuple[Catalog, Session]:
+    """The catalog at ``--db`` and a session with the ``--scan-*`` knobs."""
+    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
+    return catalog, Session(catalog, scan_workers=args.scan_workers,
+                            scan_backend=args.scan_backend, **kwargs)
+
+
+@contextlib.contextmanager
+def _event_log(path: str | None):
+    """An :class:`EventLog` writing JSONL to *path*, flushed and closed on
+    exit; None when no path was given."""
+    if not path:
+        yield None
+        return
+    from repro.obs import EventLog
+
+    with contextlib.closing(EventLog(path)) as log:
+        yield log
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -109,9 +130,7 @@ def cmd_define(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
-    session = Session(catalog, scan_workers=args.scan_workers,
-                      scan_backend=args.scan_backend)
+    catalog, session = _open_session(args)
     result = session.sql(args.sql, mode=args.mode, cold=args.cold)
     print(result)
     print()
@@ -152,9 +171,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             scan_workers=args.scan_workers, buffer_pages=args.buffer_pages,
         ))
         return 0
-    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
-    session = Session(catalog, scan_workers=args.scan_workers,
-                      scan_backend=args.scan_backend)
+    catalog, session = _open_session(args)
     explanation = session.explain(
         statement, mode=args.mode, sma_set=args.sma_set
     )
@@ -168,10 +185,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     if args.distributed:
         return _trace_distributed(args)
-    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
     tracer = Tracer()
-    session = Session(catalog, scan_workers=args.scan_workers,
-                      scan_backend=args.scan_backend, tracer=tracer)
+    catalog, session = _open_session(args, tracer=tracer)
     result = session.sql(
         args.sql, mode=args.mode, sma_set=args.sma_set, cold=args.cold
     )
@@ -219,7 +234,7 @@ def _trace_distributed(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.obs import EventLog, Tracer, render_span_tree
+    from repro.obs import Tracer, render_span_tree
     from repro.obs.collect import build_ledger, reconcile
     from repro.shard.manifest import ShardManifest
     from repro.shard.router import (
@@ -234,7 +249,6 @@ def _trace_distributed(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     manifest = ShardManifest.load(args.db)
-    events = EventLog(args.events) if args.events else None
     tracer = Tracer()
     processes = launch_local_shards(
         args.db,
@@ -243,8 +257,10 @@ def _trace_distributed(args: argparse.Namespace) -> int:
         scan_backend=args.scan_backend,
         buffer_pages=args.buffer_pages,
     )
+    # The router emits the query_ledger + trace events itself; leaving
+    # the block flushes them.
     try:
-        with ShardRouter(
+        with _event_log(args.events) as events, ShardRouter(
             [handle.endpoint for handle in processes],
             manifest=manifest,
             tracer=tracer,
@@ -257,8 +273,6 @@ def _trace_distributed(args: argparse.Namespace) -> int:
         stop_local_shards(processes)
     root = tracer.last_trace()
     if root is None:
-        if events is not None:
-            events.close()
         print("error: no trace captured", file=sys.stderr)
         return 1
     print(render_span_tree(root))
@@ -278,10 +292,6 @@ def _trace_distributed(args: argparse.Namespace) -> int:
         print(f"  {table}: {io['page_reads']} reads "
               f"({io['sma_page_reads']} sma / {io['heap_page_reads']} heap), "
               f"{io['buffer_hits']} hits, {io['tuples_scanned']} tuples")
-    if events is not None:
-        # The router already emitted query_ledger + trace events into
-        # the log; we only need to flush it.
-        events.close()
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(
@@ -319,18 +329,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.verify import verify_catalog
 
-    catalog = _open_catalog(args.db, args.buffer_pages)
-    events = None
-    if args.events:
-        from repro.obs import EventLog
-
-        events = EventLog(args.events)
-    try:
+    with _open_catalog(args.db, args.buffer_pages) as catalog, \
+            _event_log(args.events) as events:
         report = verify_catalog(catalog, repair=args.repair, events=events)
-    finally:
-        if events is not None:
-            events.close()
-        catalog.close()
     print(report.render())
     return 0 if report.ok else 1
 
@@ -445,134 +446,36 @@ def cmd_shard_worker(args: argparse.Namespace) -> int:
 
     from repro.shard.worker import ShardWorker, run_worker_forever
 
-    events = None
-    if args.events:
-        from repro.obs import EventLog
-
-        events = EventLog(args.events)
-    injector = _build_injector(args)
-    worker = ShardWorker(
-        args.shard_id,
-        args.db,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue,
-        scan_workers=args.scan_workers,
-        scan_backend=args.scan_backend,
-        buffer_pages=args.buffer_pages,
-        fault_injector=injector,
-        events=events,
-    )
-    # Graceful drain on SIGTERM (how launch_local_shards stops workers):
-    # close() finishes in-flight queries and flushes the event log.
-    signal.signal(signal.SIGTERM, lambda _sig, _frm: worker.close())
-    try:
-        run_worker_forever(worker)
-    finally:
-        if events is not None:
-            events.close()
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace) -> int:
-    """``serve --shards N``: worker processes + scatter-gather router."""
-    from repro.server import (
-        WorkloadDriver,
-        default_mix,
-        render_metrics,
-        render_workload,
-    )
-    from repro.shard import ShardManifest, ShardRouter, launch_local_shards
-    from repro.shard.router import stop_local_shards
-
-    manifest = ShardManifest.load(args.db)
-    if args.shards != manifest.num_shards:
-        print(f"error: sharded root {args.db} holds {manifest.num_shards} "
-              f"shard(s), not {args.shards}; re-run `repro shard-init`",
-              file=sys.stderr)
-        return 1
-    timeout = args.timeout if args.timeout and args.timeout > 0 else None
-    event_log = None
-    if args.trace_file:
-        from repro.obs import EventLog
-
-        event_log = EventLog(args.trace_file)
-    processes = launch_local_shards(
-        args.db,
-        manifest=manifest,
-        workers=args.workers,
-        scan_workers=args.scan_workers,
-        queue_depth=args.queue,
-        buffer_pages=args.buffer_pages,
-        events_dir=args.shard_events,
-        faults=args.faults,
-        fault_seed=args.fault_seed,
-    )
-    try:
-        with ShardRouter(
-            [handle.endpoint for handle in processes],
-            manifest=manifest,
+    with _event_log(args.events) as events:
+        worker = ShardWorker(
+            args.shard_id,
+            args.db,
+            host=args.host,
+            port=args.port,
             workers=args.workers,
             queue_depth=args.queue,
-            default_timeout_s=timeout,
-            events=event_log,
-            result_cache=args.result_cache,
-            cache_entries=args.cache_entries,
-        ) as router:
-            for shard_id, info in sorted(router.health().items()):
-                state = ("up" if info.get("up")
-                         else f"DOWN ({info.get('error')})")
-                print(f"shard {shard_id}: {state}")
-            server = None
-            if args.metrics_port is not None:
-                from repro.obs import MetricsServer
-
-                server = MetricsServer(
-                    router.observed_snapshot, port=args.metrics_port
-                ).start()
-                print(f"metrics: {server.url}/metrics  "
-                      f"(also /healthz, /snapshot)")
-            try:
-                driver = WorkloadDriver(router, default_mix())
-                if args.rate:
-                    result = driver.run_open_loop(
-                        rate_qps=args.rate, total=args.queries
-                    )
-                else:
-                    per_client = max(1, args.queries // args.clients)
-                    result = driver.run_closed_loop(
-                        clients=args.clients, queries_per_client=per_client
-                    )
-                if server is not None and args.linger:
-                    import time
-
-                    print(f"lingering {args.linger:g}s so the metrics "
-                          f"endpoint stays scrapeable ...")
-                    time.sleep(args.linger)
-            finally:
-                if server is not None:
-                    server.close()
-            fanout = router.scoreboard.snapshot()["fanout"]
-            report_snapshot = router.observed_snapshot()
-    finally:
-        stop_local_shards(processes)
-    if event_log is not None:
-        event_log.close()
-        stats = event_log.stats()
-        print(f"trace events: {stats['written']} written "
-              f"({stats['dropped']} dropped) -> {args.trace_file}")
-    print(render_workload(result))
-    print(f"fan-out: {fanout['scatter_queries']} scattered, "
-          f"{fanout['subqueries_sent']} subqueries, "
-          f"{fanout['gather_merges']} partial-state merges")
-    if args.report:
-        print()
-        print(render_metrics(report_snapshot))
+            scan_workers=args.scan_workers,
+            scan_backend=args.scan_backend,
+            buffer_pages=args.buffer_pages,
+            fault_injector=_build_injector(args),
+            events=events,
+        )
+        # Graceful drain on SIGTERM (how launch_local_shards stops
+        # workers): close() finishes in-flight queries; leaving the
+        # block flushes the event log.
+        signal.signal(signal.SIGTERM, lambda _sig, _frm: worker.close())
+        run_worker_forever(worker)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    """Replay the default mix through one serving tier — a
+    :class:`QueryService` over ``--db``, or with ``--shards`` a
+    :class:`ShardRouter` over local worker processes: build the tier →
+    optional metrics endpoint → workload → linger → snapshot → close."""
+    import time
+
+    from repro.obs import MetricsServer, Tracer
     from repro.server import (
         QueryService,
         WorkloadDriver,
@@ -586,95 +489,124 @@ def cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     if args.shards:
-        return _serve_sharded(args)
-    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
-    if not catalog.has_table("LINEITEM"):
-        print("error: catalog has no LINEITEM table; run `repro load` first",
-              file=sys.stderr)
-        catalog.close()
-        return 1
-    timeout = args.timeout if args.timeout and args.timeout > 0 else None
+        # Shard workers have no shared-scan, slow-query or stripe setting;
+        # their fault injectors are in other processes. Refuse, don't drop.
+        refused = [flag for flag, given in (
+            ("--shared-scans", args.shared_scans),
+            ("--slow-ms", args.slow_ms is not None),
+            ("--stripes", args.stripes is not None),
+            ("--fault-events", args.fault_events),
+        ) if given]
+        if refused:
+            print(f"error: {', '.join(refused)} cannot be combined with "
+                  f"--shards (the sharded tier has no such setting)",
+                  file=sys.stderr)
+            return 1
+    injector = None
+    with contextlib.ExitStack() as stack:
+        event_log = stack.enter_context(_event_log(args.trace_file))
+        common = dict(
+            workers=args.workers,
+            queue_depth=args.queue,
+            default_timeout_s=args.timeout if args.timeout and args.timeout > 0 else None,
+            tracer=Tracer() if event_log is not None else None,
+            events=event_log,
+            result_cache=args.result_cache,
+            cache_entries=args.cache_entries,
+        )
+        if args.shards:
+            from repro.shard import ShardManifest, ShardRouter, launch_local_shards
+            from repro.shard.router import stop_local_shards
 
-    event_log = None
-    tracer = None
-    if args.trace_file:
-        from repro.obs import EventLog, Tracer
-
-        event_log = EventLog(args.trace_file)
-        tracer = Tracer()
-    injector = _build_injector(args)
-    if injector is not None:
-        catalog.install_fault_injector(injector)
-        if event_log is not None:
-            def _on_retry(file_id, page_no, attempt, exc,
-                          _log=event_log):  # noqa: ANN001
-                _log.emit(
-                    "read_retry",
-                    file=str(file_id),
-                    page=page_no,
-                    attempt=attempt,
-                    error=type(exc).__name__,
-                )
-            catalog.pool.on_retry = _on_retry
-    slow_query_s = args.slow_ms / 1000.0 if args.slow_ms else None
-    with QueryService(
-        catalog,
-        workers=args.workers,
-        queue_depth=args.queue,
-        default_timeout_s=timeout,
-        scan_workers=args.scan_workers,
-        scan_backend=args.scan_backend,
-        tracer=tracer,
-        events=event_log,
-        slow_query_s=slow_query_s,
-        result_cache=args.result_cache,
-        cache_entries=args.cache_entries,
-        shared_scans=args.shared_scans,
-    ) as service:
-        server = None
+            manifest = ShardManifest.load(args.db)
+            if args.shards != manifest.num_shards:
+                print(f"error: sharded root {args.db} holds "
+                      f"{manifest.num_shards} shard(s), not {args.shards}; "
+                      f"re-run `repro shard-init`", file=sys.stderr)
+                return 1
+            processes = launch_local_shards(
+                args.db,
+                manifest=manifest,
+                workers=args.workers,
+                scan_workers=args.scan_workers,
+                scan_backend=args.scan_backend,
+                queue_depth=args.queue,
+                buffer_pages=args.buffer_pages,
+                events_dir=args.shard_events,
+                faults=args.faults,
+                fault_seed=args.fault_seed,
+            )
+            stack.callback(stop_local_shards, processes)
+            tier = stack.enter_context(ShardRouter(
+                [handle.endpoint for handle in processes],
+                manifest=manifest, **common,
+            ))
+            for shard_id, info in sorted(tier.health().items()):
+                state = "up" if info.get("up") else f"DOWN ({info.get('error')})"
+                print(f"shard {shard_id}: {state}")
+        else:
+            catalog = stack.enter_context(
+                _open_catalog(args.db, args.buffer_pages, args.stripes)
+            )
+            if not catalog.has_table("LINEITEM"):
+                print("error: catalog has no LINEITEM table; run `repro load` "
+                      "first", file=sys.stderr)
+                return 1
+            injector = _build_injector(args)
+            if injector is not None:
+                catalog.install_fault_injector(injector)
+                if event_log is not None:
+                    catalog.pool.on_retry = (
+                        lambda file_id, page_no, attempt, exc: event_log.emit(
+                            "read_retry",
+                            file=str(file_id),
+                            page=page_no,
+                            attempt=attempt,
+                            error=type(exc).__name__,
+                        )
+                    )
+            tier = stack.enter_context(QueryService(
+                catalog,
+                scan_workers=args.scan_workers,
+                scan_backend=args.scan_backend,
+                slow_query_s=args.slow_ms / 1000.0 if args.slow_ms else None,
+                shared_scans=args.shared_scans,
+                **common,
+            ))
         if args.metrics_port is not None:
-            from repro.obs import MetricsServer
-
-            server = MetricsServer(
-                service.observed_snapshot, port=args.metrics_port
-            ).start()
-            print(f"metrics: {server.url}/metrics  "
-                  f"(also /healthz, /snapshot)")
-        try:
-            driver = WorkloadDriver(service, default_mix())
-            if args.rate:
-                result = driver.run_open_loop(
-                    rate_qps=args.rate, total=args.queries
-                )
-            else:
-                clients = args.clients
-                per_client = max(1, args.queries // clients)
-                result = driver.run_closed_loop(
-                    clients=clients, queries_per_client=per_client
-                )
-            if server is not None and args.linger:
-                import time
-
-                print(f"lingering {args.linger:g}s so the metrics "
-                      f"endpoint stays scrapeable ...")
-                time.sleep(args.linger)
-            # The report snapshot comes from observed_snapshot so the
-            # result-cache / shared-scan sections make it into --report.
-            report_snapshot = service.observed_snapshot()
-        finally:
-            if server is not None:
-                server.close()
+            server = stack.enter_context(
+                MetricsServer(tier.observed_snapshot, port=args.metrics_port)
+            )
+            print(f"metrics: {server.url}/metrics  (also /healthz, /snapshot)")
+        driver = WorkloadDriver(tier, default_mix())
+        if args.rate:
+            result = driver.run_open_loop(rate_qps=args.rate, total=args.queries)
+        else:
+            result = driver.run_closed_loop(
+                clients=args.clients,
+                queries_per_client=max(1, args.queries // args.clients),
+            )
+        if args.metrics_port is not None and args.linger:
+            print(f"lingering {args.linger:g}s so the metrics endpoint stays "
+                  f"scrapeable ...")
+            time.sleep(args.linger)
+        # observed_snapshot, not metrics.snapshot: the tier's own sections
+        # (result cache, shared scans, shard scoreboard) belong in --report.
+        snapshot = tier.observed_snapshot()
     if event_log is not None:
-        event_log.close()
         stats = event_log.stats()
         print(f"trace events: {stats['written']} written "
               f"({stats['dropped']} dropped) -> {args.trace_file}")
     print(render_workload(result))
+    if args.shards:
+        fanout = snapshot["shard"]["fanout"]
+        print(f"fan-out: {fanout['scatter_queries']} scattered, "
+              f"{fanout['subqueries_sent']} subqueries, "
+              f"{fanout['gather_merges']} partial-state merges")
     if args.report:
         print()
-        print(render_metrics(report_snapshot))
+        print(render_metrics(snapshot))
     _report_faults(injector, args)
-    catalog.close()
     return 0
 
 
@@ -712,12 +644,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Option groups: a flag several subcommands carry is declared once,
+    # so its spelling, type, choices and help cannot drift between them.
+
     def add_db(p: argparse.ArgumentParser) -> None:
         p.add_argument("--db", required=True, help="catalog directory")
         p.add_argument("--buffer-pages", type=int, default=2048)
         p.add_argument("--stripes", type=int, default=None,
                        help="buffer pool lock stripes (default: sized "
                        "automatically from --buffer-pages)")
+
+    def add_scan(p: argparse.ArgumentParser, *, bench: bool = False) -> None:
+        """``bench`` has no per-query knob: its ``--scan-backend`` narrows
+        the backend grid of the experiments that have one."""
+        if not bench:
+            p.add_argument("--scan-workers", type=int, default=1,
+                           help="morsel-scan threads per running query "
+                           "(default 1: serial scans)")
+        p.add_argument("--scan-backend", choices=("thread", "process"),
+                       default=None if bench else "thread",
+                       help="restrict backend-aware experiments (C2) to one "
+                       "scan backend (default: full backend grid)" if bench
+                       else "where morsels run: in-process threads or a "
+                       "persistent worker-process pool (default thread)")
+
+    def add_plan(p: argparse.ArgumentParser, *, sma_set: bool = True) -> None:
+        p.add_argument("--mode", choices=("auto", "sma", "scan"), default="auto")
+        if sma_set:
+            p.add_argument("--sma-set", default=None,
+                           help="restrict the planner to one SMA set")
+
+    def add_cache(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--result-cache", action="store_true",
+                       help="cache finalized results by plan fingerprint "
+                       "(invalidated on ingest epoch advance and SMA "
+                       "quarantine)")
+        p.add_argument("--cache-entries", type=int, default=256,
+                       help="result cache capacity in entries (default 256)")
+        p.add_argument("--shared-scans", action="store_true",
+                       help="let queued queries over the same table attach "
+                       "to one in-flight shared bucket pass")
+
+    def add_pool(p: argparse.ArgumentParser, *, workers: int) -> None:
+        p.add_argument("--workers", type=int, default=workers,
+                       help=f"query worker threads (default {workers})")
+        p.add_argument("--queue", type=int, default=32,
+                       help="admission queue depth (default 32)")
+
+    def add_events(p: argparse.ArgumentParser, what: str) -> None:
+        p.add_argument("--events", help=f"write {what} as JSONL to this file")
+
+    def add_faults(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--faults",
+                       help="semicolon-separated fault specs injected into "
+                       "the buffer pool, e.g. "
+                       "'transient:path=.heap,p=0.05;bit_flip:path=.sma,"
+                       "count=1' (kinds: transient, short_read, latency, "
+                       "bit_flip, torn_write)")
+        p.add_argument("--fault-seed", type=int, default=0,
+                       help="deterministic fault schedule seed (default 0)")
+        p.add_argument("--fault-events",
+                       help="write every injected fault as JSONL to this file")
 
     p_load = sub.add_parser("load", help="generate and load TPC-D data")
     add_db(p_load)
@@ -743,14 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db(p_query)
     p_query.add_argument("sql", help="SQL statement")
-    p_query.add_argument("--mode", choices=("auto", "sma", "scan"), default="auto")
+    add_plan(p_query, sma_set=False)
     p_query.add_argument("--cold", action="store_true")
-    p_query.add_argument("--scan-workers", type=int, default=1,
-                         help="morsel-scan threads for this query (default 1)")
-    p_query.add_argument("--scan-backend", choices=("thread", "process"),
-                         default="thread",
-                         help="where morsels run: in-process threads or a "
-                         "persistent worker-process pool (default thread)")
+    add_scan(p_query)
     p_query.set_defaults(func=cmd_query)
 
     p_explain = sub.add_parser(
@@ -759,17 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_db(p_explain)
     p_explain.add_argument("sql", help="SELECT statement (an EXPLAIN prefix "
                            "is accepted and ignored)")
-    p_explain.add_argument("--mode", choices=("auto", "sma", "scan"),
-                           default="auto")
-    p_explain.add_argument("--sma-set", default=None,
-                           help="restrict the planner to one SMA set")
-    p_explain.add_argument("--scan-workers", type=int, default=1,
-                           help="morsel-scan threads the plan would use "
-                           "(default 1)")
-    p_explain.add_argument("--scan-backend", choices=("thread", "process"),
-                           default="thread",
-                           help="scan backend the plan would use "
-                           "(default thread)")
+    add_plan(p_explain)
+    add_scan(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_trace = sub.add_parser(
@@ -777,17 +750,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db(p_trace)
     p_trace.add_argument("sql", help="SELECT statement")
-    p_trace.add_argument("--mode", choices=("auto", "sma", "scan"),
-                         default="auto")
-    p_trace.add_argument("--sma-set", default=None,
-                         help="restrict the planner to one SMA set")
+    add_plan(p_trace)
     p_trace.add_argument("--cold", action="store_true")
-    p_trace.add_argument("--scan-workers", type=int, default=1,
-                         help="morsel-scan threads for this query (default 1)")
-    p_trace.add_argument("--scan-backend", choices=("thread", "process"),
-                         default="thread",
-                         help="where morsels run: in-process threads or a "
-                         "persistent worker-process pool (default thread)")
+    add_scan(p_trace)
     p_trace.add_argument("--distributed", action="store_true",
                          help="treat --db as a sharded root: launch its "
                          "shard workers, route the query, merge the remote "
@@ -796,29 +761,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--json-out",
                          help="with --distributed: write the merged trace, "
                          "ledger and reconciliation report as JSON here")
-    p_trace.add_argument("--events",
-                         help="with --distributed: write router events "
-                         "(incl. query_ledger and trace records) as JSONL "
-                         "to this file")
+    add_events(p_trace, "(with --distributed) the router's events, incl. "
+               "query_ledger and trace records,")
     p_trace.set_defaults(func=cmd_trace)
 
     p_info = sub.add_parser("info", help="describe a catalog")
     add_db(p_info)
     p_info.set_defaults(func=cmd_info)
 
-    def add_faults(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--faults",
-                       help="semicolon-separated fault specs injected into "
-                       "the buffer pool, e.g. "
-                       "'transient:path=.heap,p=0.05;bit_flip:path=.sma,"
-                       "count=1' (kinds: transient, short_read, latency, "
-                       "bit_flip, torn_write)")
-        p.add_argument("--fault-seed", type=int, default=0,
-                       help="deterministic fault schedule seed (default 0)")
-        p.add_argument("--fault-events",
-                       help="write every injected fault as JSONL to this file")
-
-    p_bench = sub.add_parser("bench", help="run the paper experiments")
+    p_bench = sub.add_parser(
+        "bench", help="run the paper experiments",
+        description="Run the paper experiments.  The scan and cache options "
+        "are forwarded to the experiments that take them (C2, C5).",
+    )
     p_bench.add_argument("--only", help="comma-separated experiment ids "
                          "(e.g. E4,F5)")
     p_bench.add_argument("--out", help="also write the result tables to a file")
@@ -826,19 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL trace artifact template; experiments "
                          "that serve queries (C1, C2) write one file each, "
                          "e.g. traces.jsonl -> traces_C1.jsonl")
-    p_bench.add_argument("--scan-backend", choices=("thread", "process"),
-                         default=None,
-                         help="restrict backend-aware experiments (C2) to "
-                         "one scan backend (default: full backend grid)")
-    p_bench.add_argument("--result-cache", action="store_true",
-                         help="forwarded to caching-aware experiments (C5): "
-                         "also report the cache-enabled cells")
-    p_bench.add_argument("--cache-entries", type=int, default=256,
-                         help="result cache capacity for caching-aware "
-                         "experiments (default 256)")
-    p_bench.add_argument("--shared-scans", action="store_true",
-                         help="enable cooperative scan sharing in "
-                         "caching-aware experiments")
+    add_scan(p_bench, bench=True)
+    add_cache(p_bench)
     add_faults(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -846,10 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="replay a concurrent workload through the query service"
     )
     add_db(p_serve)
-    p_serve.add_argument("--workers", type=int, default=4,
-                         help="worker threads (default 4)")
-    p_serve.add_argument("--queue", type=int, default=32,
-                         help="admission queue depth (default 32)")
+    add_pool(p_serve, workers=4)
     p_serve.add_argument("--clients", type=int, default=8,
                          help="closed-loop client threads (default 8)")
     p_serve.add_argument("--queries", type=int, default=64,
@@ -857,22 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--rate", type=float, default=None,
                          help="open-loop arrival rate in queries/s "
                          "(default: closed loop)")
-    p_serve.add_argument("--scan-workers", type=int, default=1,
-                         help="morsel-scan threads per running query "
-                         "(default 1: serial scans)")
-    p_serve.add_argument("--scan-backend", choices=("thread", "process"),
-                         default="thread",
-                         help="where morsels run: in-process threads or a "
-                         "persistent worker-process pool (default thread)")
-    p_serve.add_argument("--result-cache", action="store_true",
-                         help="cache finalized results by plan fingerprint "
-                         "(invalidated on ingest epoch advance and SMA "
-                         "quarantine)")
-    p_serve.add_argument("--cache-entries", type=int, default=256,
-                         help="result cache capacity in entries (default 256)")
-    p_serve.add_argument("--shared-scans", action="store_true",
-                         help="let queued queries over the same table attach "
-                         "to one in-flight shared bucket pass")
+    add_scan(p_serve)
+    add_cache(p_serve)
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-query timeout in seconds (default: none)")
     p_serve.add_argument("--report", action="store_true",
@@ -883,8 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "free port)")
     p_serve.add_argument("--trace-file",
                          help="write structured JSONL events (query "
-                         "start/finish, span trees, slow queries) to this "
-                         "file")
+                         "start/finish, span trees, query ledgers, slow "
+                         "queries) to this file; with --shards these are "
+                         "the router's events and merged span trees")
     p_serve.add_argument("--slow-ms", type=float, default=None,
                          help="log a slow_query event with captured EXPLAIN "
                          "for queries slower than this many milliseconds")
@@ -894,7 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=None,
                          help="treat --db as a sharded root (from `repro "
                          "shard-init`): launch this many local shard worker "
-                         "processes and scatter-gather through the router")
+                         "processes and scatter-gather through the router; "
+                         "the pool, scan and fault options go to every "
+                         "worker, --shared-scans, --slow-ms, --stripes and "
+                         "--fault-events are refused")
     p_serve.add_argument("--shard-events",
                          help="with --shards: directory for per-shard JSONL "
                          "event logs (shard-<k>.jsonl)")
@@ -923,20 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="listen port (default 0: pick a free "
                                 "port; the bound address is announced on "
                                 "stdout)")
-    p_shard_worker.add_argument("--workers", type=int, default=2,
-                                help="query worker threads (default 2)")
-    p_shard_worker.add_argument("--queue", type=int, default=32,
-                                help="admission queue depth (default 32)")
-    p_shard_worker.add_argument("--scan-workers", type=int, default=1,
-                                help="morsel-scan threads per query "
-                                "(default 1)")
-    p_shard_worker.add_argument("--scan-backend",
-                                choices=("thread", "process"),
-                                default="thread",
-                                help="where this shard's morsels run "
-                                "(default thread)")
-    p_shard_worker.add_argument("--events",
-                                help="write this shard's JSONL events here")
+    add_pool(p_shard_worker, workers=2)
+    add_scan(p_shard_worker)
+    add_events(p_shard_worker, "this shard's events")
     add_faults(p_shard_worker)
     p_shard_worker.set_defaults(func=cmd_shard_worker)
 
@@ -948,9 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--repair", action="store_true",
                           help="rebuild damaged SMAs from the heap and "
                           "migrate unchecksummed heap files in place")
-    p_verify.add_argument("--events",
-                          help="write verify_issue/verify_repair events "
-                          "as JSONL to this file")
+    add_events(p_verify, "verify_issue/verify_repair events")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

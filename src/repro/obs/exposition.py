@@ -1,10 +1,10 @@
-"""Prometheus-style exposition of service metrics + the HTTP endpoint.
+"""The metric catalogue, its Prometheus rendering and the HTTP endpoint.
 
-:func:`render_prometheus` turns a
-:meth:`~repro.server.metrics.MetricsRegistry.snapshot` dict into the
-Prometheus text format (version 0.0.4): ``# HELP``/``# TYPE`` headers,
-counters/gauges with escaped labels, and cumulative ``_bucket{le=...}``
-histograms from the registry's fixed-bucket latency histograms.
+:data:`CATALOGUE` declares every exported series once, as a path into the
+:meth:`~repro.server.metrics.MetricsRegistry.snapshot` dict;
+:func:`render_prometheus` walks it into the Prometheus text format
+(version 0.0.4) and :mod:`repro.server.report` walks it for ``--report``,
+so neither can name, default or describe a series differently.
 
 :class:`MetricsServer` serves that text from a stdlib
 ``ThreadingHTTPServer`` on a daemon thread:
@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, NamedTuple
 
-__all__ = ["MetricsServer", "render_prometheus"]
+__all__ = ["CATALOGUE", "Metric", "MetricsServer", "render_prometheus", "walk"]
+
+_GRADES = ("qualifying", "ambivalent", "disqualifying")
 
 
 def _escape_label(value: object) -> str:
@@ -48,557 +51,302 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-class _Lines:
-    """Accumulates exposition lines, writing HELP/TYPE once per metric."""
+class Metric(NamedTuple):
+    """One exported series, declared once.
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self._described: set[str] = set()
+    *path* is a dotted path into the snapshot dict.  A ``{label}``
+    placeholder binds a label: when *values* lists that label it takes
+    those fixed values in order (a ``{value: text}`` mapping substitutes
+    *text* into the key where the snapshot's spelling differs from the
+    label value); otherwise it is a whole-segment wildcard over the
+    dict's keys.  A leaf the snapshot does not hold renders nothing.
+    """
 
-    def sample(
-        self,
-        name: str,
-        value: float,
-        *,
-        labels: dict[str, object] | None = None,
-        help_text: str = "",
-        kind: str = "gauge",
-        sample_suffix: str = "",
-    ) -> None:
-        if name not in self._described:
-            self._described.add(name)
-            self.lines.append(f"# HELP {name} {help_text}")
-            self.lines.append(f"# TYPE {name} {kind}")
-        label_str = ""
-        if labels:
-            inner = ",".join(
-                f'{key}="{_escape_label(value)}"' for key, value in labels.items()
-            )
-            label_str = "{" + inner + "}"
-        self.lines.append(f"{name}{sample_suffix}{label_str} {_fmt(value)}")
+    name: str  # without the namespace prefix
+    kind: str  # counter | gauge | histogram
+    help: str
+    path: str
+    values: dict = {}
 
-    def histogram(
-        self,
-        name: str,
-        hist: dict,
-        *,
-        labels: dict[str, object] | None = None,
-        help_text: str = "",
-    ) -> None:
-        """One Prometheus histogram from a FixedHistogram.as_dict()."""
-        if name not in self._described:
-            self._described.add(name)
-            self.lines.append(f"# HELP {name} {help_text}")
-            self.lines.append(f"# TYPE {name} histogram")
-        base = dict(labels or {})
-        for bucket in hist.get("buckets", ()):
-            le = bucket["le"]
-            bucket_labels = dict(base)
-            bucket_labels["le"] = le if isinstance(le, str) else _fmt(le)
-            inner = ",".join(
-                f'{key}="{_escape_label(value)}"'
-                for key, value in bucket_labels.items()
-            )
-            self.lines.append(f"{name}_bucket{{{inner}}} {_fmt(bucket['count'])}")
-        label_str = ""
-        if base:
-            inner = ",".join(
-                f'{key}="{_escape_label(value)}"' for key, value in base.items()
-            )
-            label_str = "{" + inner + "}"
-        self.lines.append(f"{name}_sum{label_str} {_fmt(hist.get('sum', 0.0))}")
-        self.lines.append(f"{name}_count{label_str} {_fmt(hist.get('count', 0))}")
+    @property
+    def section(self) -> str:
+        """The top-level snapshot key this metric reads."""
+        return self.path.partition(".")[0]
 
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+
+#: Every series ``/metrics`` and ``--report`` can show.  Adding a
+#: snapshot field to the operator surface is one line here; nothing on
+#: the recording path consults this table.
+CATALOGUE: tuple[Metric, ...] = (
+    Metric("uptime_seconds", "gauge",
+           "Seconds since the metrics registry was created.", "service.uptime_s"),
+    Metric("start_time_seconds", "gauge",
+           "Unix time the service started.", "service.started_at"),
+    Metric("grading_ambivalent_break_even", "gauge",
+           "Configured ambivalent fraction above which an SMA plan stops "
+           "beating the plain scan (the paper's Figure 5 break-even).",
+           "service.ambivalent_break_even"),
+    Metric("queries_total", "counter",
+           "Queries by admission/execution outcome.", "queries.{outcome}",
+           {"outcome": ("submitted", "completed", "failed", "rejected",
+                        "timed_out", "cancelled")}),
+    Metric("queries_in_flight", "gauge",
+           "Queries admitted but not yet settled.", "queries.in_flight"),
+    Metric("queries_by_kind_total", "counter",
+           "Per-workload-kind queries by outcome.",
+           "queries.by_kind.{kind}.{outcome}"),
+    Metric("query_latency_seconds", "histogram",
+           "Query latency histogram.", "latency_hist"),
+    Metric("queue_wait_seconds", "histogram",
+           "Admission queue wait histogram.", "queue_wait_hist"),
+    Metric("io_page_reads_total", "counter",
+           "Physical page reads by access class.", "io.{class}_page_reads",
+           {"class": ("sequential", "skip", "random")}),
+    Metric("io_file_page_reads_total", "counter",
+           "Physical page reads split by file kind (SMA-file vs relation heap).",
+           "io.{file}_page_reads", {"file": ("sma", "heap")}),
+    Metric("io_sma_page_fraction", "gauge",
+           "Fraction of physical reads spent on SMA-files "
+           "(the paper's SMA pages vs relation pages ratio).",
+           "io.sma_page_fraction"),
+    Metric("io_buffer_hits_total", "counter",
+           "Logical page reads served from the buffer pool.", "io.buffer_hits"),
+    Metric("io_buffer_hit_rate", "gauge",
+           "Buffer hits over logical page accesses.", "io.buffer_hit_rate"),
+    Metric("io_page_writes_total", "counter", "Page writes.", "io.page_writes"),
+    Metric("io_buckets_total", "counter",
+           "Buckets fetched vs skipped by SMA grading.", "io.buckets_{action}",
+           {"action": ("fetched", "skipped")}),
+    Metric("io_bucket_skip_rate", "gauge",
+           "Buckets skipped over buckets examined.", "io.bucket_skip_rate"),
+    Metric("io_tuples_scanned_total", "counter",
+           "Tuples inspected by scans.", "io.tuples_scanned"),
+    Metric("io_sma_entries_read_total", "counter",
+           "SMA entries read (grading + roll-up).", "io.sma_entries_read"),
+    Metric("io_read_retries_total", "counter",
+           "Transient read faults retried inside the single-flight loader.",
+           "io.read_retries"),
+    Metric("plans_total", "counter",
+           "Completed queries by chosen plan strategy.", "plans.{strategy}"),
+    Metric("grading_fraction", "gauge",
+           "Mean grading fraction over completed SMA-graded queries (the "
+           "paper's Figure 5 axis; compare the ambivalent grade with the "
+           "configured break-even gauge).",
+           "grading.{table}.mean_{grade}", {"grade": _GRADES}),
+    Metric("grading_last_fraction", "gauge",
+           "Grading fraction of the most recent SMA-graded query.",
+           "grading.{table}.last_{grade}", {"grade": _GRADES}),
+    Metric("grading_queries_total", "counter",
+           "SMA-graded queries per table.", "grading.{table}.queries"),
+    Metric("ambivalent_warnings_total", "counter",
+           "Times the ambivalent fraction crossed the configured "
+           "break-even threshold.", "grading.{table}.warnings"),
+    Metric("sma_quarantined_total", "counter",
+           "SMA definitions quarantined after failed integrity checks "
+           "(queries fell back to heap scans).", "integrity.sma_quarantined"),
+    Metric("sma_repaired_total", "counter",
+           "Quarantined SMA definitions rebuilt from the heap.",
+           "integrity.sma_repaired"),
+    Metric("sma_quarantined_by_table_total", "counter",
+           "SMA quarantines per table.", "integrity.by_table.{table}"),
+    Metric("shard_scatter_queries_total", "counter",
+           "Queries scattered across shard workers.",
+           "shard.fanout.scatter_queries"),
+    Metric("shard_subqueries_sent_total", "counter",
+           "Per-shard subqueries dispatched.", "shard.fanout.subqueries_sent"),
+    Metric("shard_gather_merges_total", "counter",
+           "Partial aggregation states merged at gather time.",
+           "shard.fanout.gather_merges"),
+    Metric("shard_up", "gauge",
+           "Shard liveness (1 when the last contact succeeded).",
+           "shard.shards.{shard}.up"),
+    Metric("shard_requests_total", "counter",
+           "Subqueries sent to this shard.", "shard.shards.{shard}.requests"),
+    Metric("shard_failures_total", "counter",
+           "Subqueries that failed on this shard.",
+           "shard.shards.{shard}.failures"),
+    Metric("shard_latency_seconds", "gauge",
+           "Per-shard subquery latency summary.",
+           "shard.shards.{shard}.latency_s.{stat}_s",
+           {"stat": ("mean", "p95", "max")}),
+    Metric("scan_backend", "gauge",
+           "Configured scan backend (info metric; value is always 1).",
+           "scan.backend"),
+    Metric("scan_workers", "gauge",
+           "Morsel-scan workers per running query.", "scan.scan_workers"),
+    Metric("scan_pool_processes", "gauge",
+           "Worker processes spawned by the scan process pools.",
+           "scan.pool.workers_spawned"),
+    Metric("scan_pool_tasks_total", "counter",
+           "Morsel tasks completed by process workers.",
+           "scan.pool.tasks_dispatched"),
+    Metric("scan_pool_fallbacks_total", "counter",
+           "Process-backend dispatches that fell back to threads after a "
+           "worker crash.", "scan.pool.fallbacks"),
+    Metric("ingest_rows_total", "counter",
+           "Rows applied by DML batches, per table and operation.",
+           "ingest.rows_total.{table}.{op}"),
+    Metric("ingest_epoch", "gauge",
+           "Per-table ingest epoch (bumps once per applied DML batch; "
+           "readers pin it at admission).", "ingest.epochs.{table}"),
+    Metric("ingest_batches_total", "counter",
+           "DML batches applied through the write path.", "ingest.batches"),
+    Metric("ingest_write_queue_depth", "gauge",
+           "DML jobs admitted but not yet settled.", "ingest.write_queue_depth"),
+    Metric("ingest_write_queue_peak", "gauge",
+           "High-water mark of the write queue depth.",
+           "ingest.write_queue_peak"),
+    Metric("ingest_intents_resolved_total", "counter",
+           "Write-ahead intents resolved during repair.",
+           "ingest.intents_{action}", {"action": ("replayed", "rolled_back")}),
+    Metric("query_ledger_queries_total", "counter",
+           "Traced queries folded into the resource ledger.", "ledger.queries"),
+    Metric("query_ledger_queue_wait_seconds_total", "counter",
+           "Summed admission queue wait across ledgered queries.",
+           "ledger.queue_wait_s"),
+    Metric("query_ledger_fan_out_total", "counter",
+           "Shard subqueries scattered by ledgered queries.", "ledger.fan_out"),
+    Metric("query_ledger_span_seconds_total", "counter",
+           "Wall seconds attributed to each span kind across ledgered "
+           "queries.", "ledger.span_seconds.{kind}"),
+    Metric("query_ledger_page_reads_total", "counter",
+           "Per-table physical page reads attributed from merged span "
+           "trees, split by file kind.",
+           "ledger.tables.{table}.{file}_page_reads", {"file": ("sma", "heap")}),
+    Metric("query_ledger_buffer_hits_total", "counter",
+           "Per-table buffer-pool hits attributed from merged span trees.",
+           "ledger.tables.{table}.buffer_hits"),
+    Metric("query_ledger_tuples_scanned_total", "counter",
+           "Per-table tuples scanned attributed from merged span trees.",
+           "ledger.tables.{table}.tuples_scanned"),
+    Metric("query_ledger_buckets_total", "counter",
+           "Per-table buckets fetched vs skipped by SMA grading, attributed "
+           "from merged span trees (which data was skipped).",
+           "ledger.tables.{table}.buckets_{action}",
+           {"action": ("fetched", "skipped")}),
+    Metric("result_cache_lookups_total", "counter",
+           "Result-cache lookups by outcome (flight_hit = served by a "
+           "concurrent single-flight leader).", "result_cache.{outcome}",
+           {"outcome": {"hit": "hits", "flight_hit": "flight_hits",
+                        "miss": "misses"}}),
+    Metric("result_cache_stores_total", "counter",
+           "Finalized results published into the cache.", "result_cache.stores"),
+    Metric("result_cache_evictions_total", "counter",
+           "Entries dropped by the LRU capacity bound.",
+           "result_cache.evictions"),
+    Metric("result_cache_invalidations_total", "counter",
+           "Entries evicted by quarantine or go_cold().",
+           "result_cache.invalidations"),
+    Metric("result_cache_entries", "gauge",
+           "Entries currently resident.", "result_cache.entries"),
+    Metric("result_cache_capacity", "gauge",
+           "Configured entry capacity of the cache.", "result_cache.capacity"),
+    Metric("result_cache_hit_rate", "gauge",
+           "Fraction of lookups served without execution.",
+           "result_cache.hit_rate"),
+    Metric("shared_scan_consumers_total", "counter",
+           "Shared-scan consumers by role (detach = fell back to a solo "
+           "execution).", "shared_scan.{role}",
+           {"role": {"lead": "leads", "attach": "attaches",
+                     "detach": "detaches"}}),
+    Metric("shared_scan_fan_in_total", "counter",
+           "Summed consumers over all led passes.", "shared_scan.fan_in_total"),
+    Metric("shared_scan_fan_in_max", "gauge",
+           "Largest consumer count one pass served.", "shared_scan.fan_in_max"),
+    Metric("shared_scan_pending_groups", "gauge",
+           "Passes currently gathering consumers.",
+           "shared_scan.pending_groups"),
+    Metric("events_written_total", "counter",
+           "Events persisted by the JSONL writer.", "events.written"),
+    Metric("events_dropped_total", "counter",
+           "Events dropped because the bounded queue was full.",
+           "events.dropped"),
+)
+
+#: A section that has observed nothing renders nothing: the ledger's
+#: totals exist from start-up but mean "no traced query yet" while zero.
+_GATES = {"ledger": "queries"}
+
+_BIND = re.compile(r"\{(\w+)\}")
+
+
+def _key_order(key: object) -> tuple:
+    """Sorted keys, digit strings numerically (shard "10" after "2")."""
+    text = str(key)
+    return (0, int(text), "") if text.isdigit() else (1, 0, text)
+
+
+def _samples(node: object, segments: list[str], labels: dict, values: dict):
+    """Yield ``(labels, value)`` for every leaf *segments* reaches."""
+    head, rest = segments[0], segments[1:]
+    if not isinstance(node, dict):
+        return
+    bind = _BIND.search(head)
+    if bind is None:
+        pairs = [(None, head)]
+    elif bind[1] in values:
+        fixed = values[bind[1]]
+        fixed = fixed.items() if isinstance(fixed, dict) else zip(fixed, fixed)
+        pairs = [(value, head.replace(bind[0], text)) for value, text in fixed]
+    else:
+        pairs = [(key, key) for key in sorted(node, key=_key_order)]
+    for value, key in pairs:
+        if key not in node:
+            continue
+        bound = labels if bind is None else {**labels, bind[1]: value}
+        leaf = node[key]
+        if rest:
+            yield from _samples(leaf, rest, bound, values)
+        elif isinstance(leaf, str):
+            # info sample: the text becomes a label named after its key
+            yield {**bound, key: leaf}, 1
+        else:
+            yield bound, leaf
+
+
+def walk(snapshot: dict):
+    """Yield ``(metric, [(labels, value), ...])`` for every catalogue
+    entry *snapshot* holds at least one sample of, in catalogue order.
+
+    *snapshot* is a :meth:`MetricsRegistry.snapshot` dict, optionally
+    augmented with the ``result_cache`` / ``shared_scan`` / ``shard`` /
+    ``events`` sections ``observed_snapshot()`` adds; a partial dict is
+    fine.
+    """
+    for metric in CATALOGUE:
+        gate = _GATES.get(metric.section)
+        if gate and not (snapshot.get(metric.section) or {}).get(gate):
+            continue
+        samples = list(_samples(snapshot, metric.path.split("."), {}, metric.values))
+        if samples:
+            yield metric, samples
+
+
+def _line(name: str, labels: dict, value: float) -> str:
+    inner = ",".join(f'{key}="{_escape_label(text)}"' for key, text in labels.items())
+    return f"{name}{{{inner}}} {_fmt(value)}" if inner else f"{name} {_fmt(value)}"
 
 
 def render_prometheus(snapshot: dict, *, namespace: str = "repro") -> str:
-    """Render one metrics snapshot as Prometheus text format 0.0.4.
-
-    *snapshot* is the :meth:`MetricsRegistry.snapshot` dict, optionally
-    augmented by the caller with an ``"events"`` sub-dict (the event
-    log's stats) — the service's ``/metrics`` endpoint does this.
-    """
-    out = _Lines()
-    ns = namespace
-
-    service = snapshot.get("service", {})
-    if service:
-        out.sample(
-            f"{ns}_uptime_seconds",
-            service.get("uptime_s", 0.0),
-            help_text="Seconds since the metrics registry was created.",
-        )
-        out.sample(
-            f"{ns}_start_time_seconds",
-            service.get("started_at", 0.0),
-            help_text="Unix time the service started.",
-        )
-
-    queries = snapshot.get("queries", {})
-    for outcome in (
-        "submitted", "completed", "failed", "rejected", "timed_out", "cancelled",
-    ):
-        if outcome in queries:
-            out.sample(
-                f"{ns}_queries_total",
-                queries[outcome],
-                labels={"outcome": outcome},
-                help_text="Queries by admission/execution outcome.",
-                kind="counter",
-            )
-    if "in_flight" in queries:
-        out.sample(
-            f"{ns}_queries_in_flight",
-            queries["in_flight"],
-            help_text="Queries admitted but not yet settled.",
-        )
-    for kind, outcomes in sorted(queries.get("by_kind", {}).items()):
-        for outcome, count in sorted(outcomes.items()):
-            out.sample(
-                f"{ns}_queries_by_kind_total",
-                count,
-                labels={"kind": kind, "outcome": outcome},
-                help_text="Per-workload-kind queries by outcome.",
-                kind="counter",
-            )
-
-    for metric, key, help_text in (
-        ("query_latency_seconds", "latency_hist", "Query latency histogram."),
-        ("queue_wait_seconds", "queue_wait_hist", "Admission queue wait histogram."),
-    ):
-        hist = snapshot.get(key)
-        if hist:
-            out.histogram(f"{ns}_{metric}", hist, help_text=help_text)
-
-    io = snapshot.get("io", {})
-    if io:
-        for klass in ("sequential", "skip", "random"):
-            out.sample(
-                f"{ns}_io_page_reads_total",
-                io.get(f"{klass}_page_reads", 0),
-                labels={"class": klass},
-                help_text="Physical page reads by access class.",
-                kind="counter",
-            )
-        for file_kind in ("sma", "heap"):
-            out.sample(
-                f"{ns}_io_file_page_reads_total",
-                io.get(f"{file_kind}_page_reads", 0),
-                labels={"file": file_kind},
-                help_text="Physical page reads split by file kind "
-                "(SMA-file vs relation heap).",
-                kind="counter",
-            )
-        physical = io.get("page_reads", 0)
-        out.sample(
-            f"{ns}_io_sma_page_fraction",
-            (io.get("sma_page_reads", 0) / physical) if physical else 0.0,
-            help_text="Fraction of physical reads spent on SMA-files "
-            "(the paper's SMA pages vs relation pages ratio).",
-        )
-        out.sample(
-            f"{ns}_io_buffer_hits_total",
-            io.get("buffer_hits", 0),
-            help_text="Logical page reads served from the buffer pool.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_io_buffer_hit_rate",
-            io.get("buffer_hit_rate", 0.0),
-            help_text="Buffer hits over logical page accesses.",
-        )
-        out.sample(
-            f"{ns}_io_page_writes_total",
-            io.get("page_writes", 0),
-            help_text="Page writes.",
-            kind="counter",
-        )
-        for action in ("fetched", "skipped"):
-            out.sample(
-                f"{ns}_io_buckets_total",
-                io.get(f"buckets_{action}", 0),
-                labels={"action": action},
-                help_text="Buckets fetched vs skipped by SMA grading.",
-                kind="counter",
-            )
-        out.sample(
-            f"{ns}_io_bucket_skip_rate",
-            io.get("bucket_skip_rate", 0.0),
-            help_text="Buckets skipped over buckets examined.",
-        )
-        out.sample(
-            f"{ns}_io_tuples_scanned_total",
-            io.get("tuples_scanned", 0),
-            help_text="Tuples inspected by scans.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_io_sma_entries_read_total",
-            io.get("sma_entries_read", 0),
-            help_text="SMA entries read (grading + roll-up).",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_io_read_retries_total",
-            io.get("read_retries", 0),
-            help_text="Transient read faults retried inside the "
-            "single-flight loader.",
-            kind="counter",
-        )
-
-    for strategy, count in sorted(snapshot.get("plans", {}).items()):
-        out.sample(
-            f"{ns}_plans_total",
-            count,
-            labels={"strategy": strategy},
-            help_text="Completed queries by chosen plan strategy.",
-            kind="counter",
-        )
-
-    for table, grading in sorted(snapshot.get("grading", {}).items()):
-        for grade in ("qualifying", "ambivalent", "disqualifying"):
-            out.sample(
-                f"{ns}_grading_fraction",
-                grading.get(f"mean_{grade}", 0.0),
-                labels={"table": table, "grade": grade},
-                help_text="Mean grading fraction over completed SMA-graded "
-                "queries (the paper's Figure 5 axis; break-even near "
-                "0.25 ambivalent).",
-            )
-            out.sample(
-                f"{ns}_grading_last_fraction",
-                grading.get(f"last_{grade}", 0.0),
-                labels={"table": table, "grade": grade},
-                help_text="Grading fraction of the most recent SMA-graded query.",
-            )
-        out.sample(
-            f"{ns}_grading_queries_total",
-            grading.get("queries", 0),
-            labels={"table": table},
-            help_text="SMA-graded queries per table.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_ambivalent_warnings_total",
-            grading.get("warnings", 0),
-            labels={"table": table},
-            help_text="Times the ambivalent fraction crossed the "
-            "configured break-even threshold.",
-            kind="counter",
-        )
-
-    integrity = snapshot.get("integrity")
-    if integrity is not None:
-        out.sample(
-            f"{ns}_sma_quarantined_total",
-            integrity.get("sma_quarantined", 0),
-            help_text="SMA definitions quarantined after failed integrity "
-            "checks (queries fell back to heap scans).",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_sma_repaired_total",
-            integrity.get("sma_repaired", 0),
-            help_text="Quarantined SMA definitions rebuilt from the heap.",
-            kind="counter",
-        )
-        for table, count in sorted(integrity.get("by_table", {}).items()):
-            out.sample(
-                f"{ns}_sma_quarantined_by_table_total",
-                count,
-                labels={"table": table},
-                help_text="SMA quarantines per table.",
-                kind="counter",
-            )
-
-    shard = snapshot.get("shard")
-    if shard:
-        fanout = shard.get("fanout", {})
-        for counter, help_text in (
-            ("scatter_queries", "Queries scattered across shard workers."),
-            ("subqueries_sent", "Per-shard subqueries dispatched."),
-            (
-                "gather_merges",
-                "Partial aggregation states merged at gather time.",
-            ),
-        ):
-            out.sample(
-                f"{ns}_shard_{counter}_total",
-                fanout.get(counter, 0),
-                help_text=help_text,
-                kind="counter",
-            )
-        per_shard = shard.get("shards", {})
-        for shard_id in sorted(per_shard, key=lambda key: int(key)):
-            info = per_shard[shard_id]
-            labels = {"shard": shard_id}
-            out.sample(
-                f"{ns}_shard_up",
-                1 if info.get("up") else 0,
-                labels=labels,
-                help_text="Shard liveness (1 when the last contact "
-                "succeeded).",
-            )
-            out.sample(
-                f"{ns}_shard_requests_total",
-                info.get("requests", 0),
-                labels=labels,
-                help_text="Subqueries sent to this shard.",
-                kind="counter",
-            )
-            out.sample(
-                f"{ns}_shard_failures_total",
-                info.get("failures", 0),
-                labels=labels,
-                help_text="Subqueries that failed on this shard.",
-                kind="counter",
-            )
-            latency = info.get("latency_s") or {}
-            if latency.get("count"):
-                for stat in ("mean_s", "p95_s", "max_s"):
-                    if stat in latency:
-                        out.sample(
-                            f"{ns}_shard_latency_seconds",
-                            latency[stat],
-                            labels={**labels, "stat": stat[:-2]},
-                            help_text="Per-shard subquery latency summary.",
-                        )
-
-    scan = snapshot.get("scan")
-    if scan:
-        out.sample(
-            f"{ns}_scan_backend",
-            1,
-            labels={"backend": str(scan.get("backend", "thread"))},
-            help_text="Configured scan backend (info metric; value is "
-            "always 1).",
-        )
-        out.sample(
-            f"{ns}_scan_workers",
-            scan.get("scan_workers", 1),
-            help_text="Morsel-scan workers per running query.",
-        )
-        pool = scan.get("pool")
-        if pool:
-            out.sample(
-                f"{ns}_scan_pool_processes",
-                pool.get("workers_spawned", 0),
-                help_text="Worker processes spawned by the scan "
-                "process pools.",
-            )
-            out.sample(
-                f"{ns}_scan_pool_tasks_total",
-                pool.get("tasks_dispatched", 0),
-                help_text="Morsel tasks completed by process workers.",
-                kind="counter",
-            )
-            out.sample(
-                f"{ns}_scan_pool_fallbacks_total",
-                pool.get("fallbacks", 0),
-                help_text="Process-backend dispatches that fell back to "
-                "threads after a worker crash.",
-                kind="counter",
-            )
-
-    ingest = snapshot.get("ingest")
-    if ingest:
-        for table, by_op in sorted(ingest.get("rows_total", {}).items()):
-            for op, rows in sorted(by_op.items()):
-                out.sample(
-                    f"{ns}_ingest_rows_total",
-                    rows,
-                    labels={"table": table, "op": op},
-                    help_text="Rows applied by DML batches, per table "
-                    "and operation.",
-                    kind="counter",
-                )
-        for table, epoch in sorted(ingest.get("epochs", {}).items()):
-            out.sample(
-                f"{ns}_ingest_epoch",
-                epoch,
-                labels={"table": table},
-                help_text="Per-table ingest epoch (bumps once per "
-                "applied DML batch; readers pin it at admission).",
-            )
-        out.sample(
-            f"{ns}_ingest_batches_total",
-            ingest.get("batches", 0),
-            help_text="DML batches applied through the write path.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_ingest_write_queue_depth",
-            ingest.get("write_queue_depth", 0),
-            help_text="DML jobs admitted but not yet settled.",
-        )
-        out.sample(
-            f"{ns}_ingest_write_queue_peak",
-            ingest.get("write_queue_peak", 0),
-            help_text="High-water mark of the write queue depth.",
-        )
-        for action, key in (
-            ("replayed", "intents_replayed"),
-            ("rolled_back", "intents_rolled_back"),
-        ):
-            out.sample(
-                f"{ns}_ingest_intents_resolved_total",
-                ingest.get(key, 0),
-                labels={"action": action},
-                help_text="Write-ahead intents resolved during repair.",
-                kind="counter",
-            )
-
-    ledger = snapshot.get("ledger")
-    if ledger and ledger.get("queries"):
-        out.sample(
-            f"{ns}_query_ledger_queries_total",
-            ledger.get("queries", 0),
-            help_text="Traced queries folded into the resource ledger.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_query_ledger_queue_wait_seconds_total",
-            ledger.get("queue_wait_s", 0.0),
-            help_text="Summed admission queue wait across ledgered "
-            "queries.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_query_ledger_fan_out_total",
-            ledger.get("fan_out", 0),
-            help_text="Shard subqueries scattered by ledgered queries.",
-            kind="counter",
-        )
-        for kind, seconds in sorted(ledger.get("span_seconds", {}).items()):
-            out.sample(
-                f"{ns}_query_ledger_span_seconds_total",
-                seconds,
-                labels={"kind": kind},
-                help_text="Wall seconds attributed to each span kind "
-                "across ledgered queries.",
-                kind="counter",
-            )
-        for table, counters in sorted(ledger.get("tables", {}).items()):
-            for file_kind in ("sma", "heap"):
-                out.sample(
-                    f"{ns}_query_ledger_page_reads_total",
-                    counters.get(f"{file_kind}_page_reads", 0),
-                    labels={"table": table, "file": file_kind},
-                    help_text="Per-table physical page reads attributed "
-                    "from merged span trees, split by file kind.",
-                    kind="counter",
-                )
-            out.sample(
-                f"{ns}_query_ledger_buffer_hits_total",
-                counters.get("buffer_hits", 0),
-                labels={"table": table},
-                help_text="Per-table buffer-pool hits attributed from "
-                "merged span trees.",
-                kind="counter",
-            )
-            out.sample(
-                f"{ns}_query_ledger_tuples_scanned_total",
-                counters.get("tuples_scanned", 0),
-                labels={"table": table},
-                help_text="Per-table tuples scanned attributed from "
-                "merged span trees.",
-                kind="counter",
-            )
-
-    cache = snapshot.get("result_cache")
-    if cache:
-        for outcome, key in (
-            ("hit", "hits"),
-            ("flight_hit", "flight_hits"),
-            ("miss", "misses"),
-        ):
-            out.sample(
-                f"{ns}_result_cache_lookups_total",
-                cache.get(key, 0),
-                labels={"outcome": outcome},
-                help_text="Result-cache lookups by outcome (flight_hit = "
-                "served by a concurrent single-flight leader).",
-                kind="counter",
-            )
-        out.sample(
-            f"{ns}_result_cache_stores_total",
-            cache.get("stores", 0),
-            help_text="Finalized results published into the cache.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_result_cache_evictions_total",
-            cache.get("evictions", 0),
-            help_text="Entries dropped by the LRU capacity bound.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_result_cache_invalidations_total",
-            cache.get("invalidations", 0),
-            help_text="Entries evicted by quarantine or go_cold().",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_result_cache_entries",
-            cache.get("entries", 0),
-            help_text="Entries currently resident.",
-        )
-        out.sample(
-            f"{ns}_result_cache_hit_rate",
-            cache.get("hit_rate", 0.0),
-            help_text="Fraction of lookups served without execution.",
-        )
-
-    shared = snapshot.get("shared_scan")
-    if shared:
-        for role, key in (
-            ("lead", "leads"),
-            ("attach", "attaches"),
-            ("detach", "detaches"),
-        ):
-            out.sample(
-                f"{ns}_shared_scan_consumers_total",
-                shared.get(key, 0),
-                labels={"role": role},
-                help_text="Shared-scan consumers by role (detach = fell "
-                "back to a solo execution).",
-                kind="counter",
-            )
-        out.sample(
-            f"{ns}_shared_scan_fan_in_total",
-            shared.get("fan_in_total", 0),
-            help_text="Summed consumers over all led passes.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_shared_scan_fan_in_max",
-            shared.get("fan_in_max", 0),
-            help_text="Largest consumer count one pass served.",
-        )
-        out.sample(
-            f"{ns}_shared_scan_pending_groups",
-            shared.get("pending_groups", 0),
-            help_text="Passes currently gathering consumers.",
-        )
-
-    events = snapshot.get("events", {})
-    if events:
-        out.sample(
-            f"{ns}_events_written_total",
-            events.get("written", 0),
-            help_text="Events persisted by the JSONL writer.",
-            kind="counter",
-        )
-        out.sample(
-            f"{ns}_events_dropped_total",
-            events.get("dropped", 0),
-            help_text="Events dropped because the bounded queue was full.",
-            kind="counter",
-        )
-
-    return out.render()
+    """Render one metrics snapshot as Prometheus text format 0.0.4:
+    one contiguous HELP/TYPE/samples group per catalogue metric."""
+    lines: list[str] = []
+    for metric, samples in walk(snapshot):
+        name = f"{namespace}_{metric.name}"
+        lines.append(f"# HELP {name} {metric.help}")
+        lines.append(f"# TYPE {name} {metric.kind}")
+        for labels, value in samples:
+            if metric.kind != "histogram":
+                lines.append(_line(name, labels, value))
+                continue
+            # a FixedHistogram.as_dict(): cumulative buckets, sum, count
+            for bucket in value.get("buckets", ()):
+                le = bucket["le"]
+                le_labels = {**labels, "le": le if isinstance(le, str) else _fmt(le)}
+                lines.append(_line(f"{name}_bucket", le_labels, bucket["count"]))
+            lines.append(_line(f"{name}_sum", labels, value.get("sum", 0.0)))
+            lines.append(_line(f"{name}_count", labels, value.get("count", 0)))
+    return "\n".join(lines) + "\n"
 
 
 class MetricsServer:

@@ -8,8 +8,9 @@ skipped vs fetched).  All recording methods are thread-safe; workers
 call them concurrently.
 
 :meth:`MetricsRegistry.snapshot` returns a plain nested dict — the
-programmatic surface — and :mod:`repro.server.report` renders that dict
-as the ``repro serve --report`` text dump.
+programmatic surface.  What an operator sees of it (``/metrics``, the
+``repro serve --report`` dump) is declared once, in the metric catalogue
+of :mod:`repro.obs.exposition`; nothing here consults it.
 """
 
 from __future__ import annotations
@@ -413,34 +414,13 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Plain-dict view of everything recorded so far.
 
-        Shape::
-
-            {
-              "service": {started_at, uptime_s, ambivalent_break_even},
-              "queries": {submitted, completed, failed, rejected,
-                          timed_out, cancelled, in_flight,
-                          by_kind: {kind: {outcome: count}}},
-              "latency_s": {"overall": {...}, "by_kind": {kind: {...}}},
-              "queue_wait_s": {...},
-              "latency_hist": {buckets, sum, count},
-              "queue_wait_hist": {buckets, sum, count},
-              "io": {<IoStats counters>, buffer_hit_rate,
-                     bucket_skip_rate},
-              "plans": {strategy: completed count},
-              "grading": {table: {queries, warnings,
-                                  mean_/last_ x 3 fractions}},
-              "integrity": {sma_quarantined, sma_repaired,
-                            by_table: {table: count}},
-              "scan": {backend, scan_workers[, pool: {...gauges}]}
-                      or None when no service published its config,
-              "ingest": {batches, rows_total: {table: {op: rows}},
-                         epochs: {table: epoch}, intents_replayed,
-                         intents_rolled_back, write_queue_depth,
-                         write_queue_peak},
-              "ledger": {queries, queue_wait_s, fan_out,
-                         span_seconds: {kind: s},
-                         tables: {table: {counter: n}}},
-            }
+        Top-level sections: ``service``, ``queries``, ``latency_s``,
+        ``queue_wait_s``, ``latency_hist``, ``queue_wait_hist``, ``io``,
+        ``plans``, ``grading``, ``integrity``, ``scan`` (None until a
+        service publishes its config), ``ingest`` and ``ledger``.  The
+        field-by-field description of the operator-facing part is
+        :data:`repro.obs.exposition.CATALOGUE` — one line per exported
+        series, each naming the path it reads here.
         """
         with self._lock:
             settled = (
@@ -480,6 +460,10 @@ class MetricsRegistry:
                     **io.as_dict(),
                     "buffer_hit_rate": io.buffer_hit_rate,
                     "bucket_skip_rate": io.bucket_skip_rate,
+                    # the paper's SMA-file pages vs relation pages ratio
+                    "sma_page_fraction": (
+                        io.sma_page_reads / io.page_reads if io.page_reads else 0.0
+                    ),
                 },
                 "plans": dict(sorted(self._plans.items())),
                 "grading": {

@@ -2,8 +2,10 @@
 
 This is the ``repro serve --report`` surface: a compact, monospace dump
 of the :class:`~repro.server.metrics.MetricsRegistry` snapshot plus the
-workload summary, built on the same table formatter the paper
-experiments use.
+workload summary.  The head (queries, latency table, ``io``) is laid out
+by hand; every other section is whatever the metric catalogue of
+:mod:`repro.obs.exposition` finds in the snapshot, so the report shows
+exactly the series ``/metrics`` exports, under the same names.
 """
 
 from __future__ import annotations
@@ -11,15 +13,14 @@ from __future__ import annotations
 import datetime
 from typing import TYPE_CHECKING
 
+from repro.obs.exposition import walk
+from repro.textfmt import format_table, human_seconds
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.workload import WorkloadResult
 
 
 def _latency_row(label: str, data: dict) -> tuple:
-    # Lazy import: repro.bench pulls in this package via the concurrency
-    # experiment, so a module-level bench import would be cyclic.
-    from repro.bench.harness import human_seconds
-
     if not data or not data.get("count"):
         return (label, 0, "-", "-", "-", "-", "-")
     return (
@@ -33,10 +34,16 @@ def _latency_row(label: str, data: dict) -> tuple:
     )
 
 
+#: snapshot sections the hand-laid head of the report already covers
+_HEAD_SECTIONS = ("service", "queries", "latency_hist", "queue_wait_hist", "io")
+
+
+def _number(value: float) -> str:
+    return str(value) if type(value) is int else f"{value:.4g}"
+
+
 def render_metrics(snapshot: dict) -> str:
     """Render one metrics snapshot (see ``MetricsRegistry.snapshot``)."""
-    from repro.bench.harness import format_table
-
     lines: list[str] = ["== query service metrics =="]
 
     service = snapshot.get("service") or {}
@@ -46,7 +53,8 @@ def render_metrics(snapshot: dict) -> str:
         )
         lines.append(
             f"service: started {started.isoformat(timespec='seconds')}, "
-            f"uptime {service['uptime_s']:.1f}s"
+            f"uptime {service['uptime_s']:.1f}s, "
+            f"ambivalent break-even {service['ambivalent_break_even']:g}"
         )
 
     queries = snapshot["queries"]
@@ -84,15 +92,14 @@ def render_metrics(snapshot: dict) -> str:
         f"  pages: {io['page_reads']} physical "
         f"({io['sequential_page_reads']} seq / {io['skip_page_reads']} skip / "
         f"{io['random_page_reads']} rnd), {io['buffer_hits']} buffer hits "
-        f"(hit rate {io['buffer_hit_rate']:.1%})"
+        f"(hit rate {io['buffer_hit_rate']:.1%}), {io['page_writes']} writes, "
+        f"{io['read_retries']} read retries"
     )
-    sma_reads = io.get("sma_page_reads", 0)
-    heap_reads = io.get("heap_page_reads", 0)
-    if sma_reads or heap_reads:
-        total = sma_reads + heap_reads
+    if io["sma_page_reads"] or io["heap_page_reads"]:
         lines.append(
-            f"  files: {sma_reads} SMA-file / {heap_reads} heap page reads "
-            f"(SMA fraction {sma_reads / total:.1%})"
+            f"  files: {io['sma_page_reads']} SMA-file / "
+            f"{io['heap_page_reads']} heap page reads "
+            f"(SMA fraction {io['sma_page_fraction']:.1%})"
         )
     lines.append(
         f"  buckets: {io['buckets_fetched']} fetched, "
@@ -104,45 +111,25 @@ def render_metrics(snapshot: dict) -> str:
         f"SMA entries read: {io['sma_entries_read']}"
     )
 
-    plans = snapshot.get("plans") or {}
-    if plans:
-        lines.append("")
-        lines.append("plans (completed queries by chosen strategy):")
+    section = None
+    for metric, samples in walk(snapshot):
+        if metric.section in _HEAD_SECTIONS:
+            continue
+        if metric.section != section:
+            section = metric.section
+            lines += ["", f"{section.replace('_', ' ')}:"]
         lines.append(
-            "  " + ", ".join(
-                f"{strategy} {count}" for strategy, count in plans.items()
+            f"  {metric.name}: "
+            + ", ".join(
+                " ".join([*map(str, labels.values()), _number(value)])
+                for labels, value in samples
             )
-        )
-
-    cache = snapshot.get("result_cache")
-    if cache:
-        lines.append("")
-        lines.append(
-            "result cache: "
-            f"{cache['entries']}/{cache['capacity']} entries, "
-            f"{cache['hits']} hits + {cache['flight_hits']} flight hits / "
-            f"{cache['misses']} misses (hit rate {cache['hit_rate']:.1%}), "
-            f"{cache['stores']} stores, {cache['evictions']} evictions, "
-            f"{cache['invalidations']} invalidations"
-        )
-
-    shared = snapshot.get("shared_scan")
-    if shared:
-        lines.append("")
-        lines.append(
-            "shared scans: "
-            f"{shared['leads']} passes led, {shared['attaches']} attaches, "
-            f"{shared['detaches']} detaches, "
-            f"mean fan-in {shared['mean_fan_in']:.2f} "
-            f"(max {shared['fan_in_max']})"
         )
     return "\n".join(lines)
 
 
 def render_workload(result: "WorkloadResult") -> str:
     """One-paragraph workload summary (throughput + outcome counts)."""
-    from repro.bench.harness import human_seconds
-
     lines = [
         "== workload run ==",
         f"{result.total} queries in {human_seconds(result.wall_seconds)} wall "

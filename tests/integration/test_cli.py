@@ -249,3 +249,48 @@ class TestDiscovery:
         catalog = Catalog.discover(str(tmp_path / "fresh"))
         assert list(catalog.tables()) == []
         catalog.close()
+
+
+class TestSharedOptions:
+    """A flag carried by several subcommands means one thing everywhere."""
+
+    #: where a subcommand's default legitimately differs, and why
+    DEFAULT_EXCEPTIONS = {
+        ("bench", "--scan-backend"): None,  # no default: the full backend grid
+        ("shard-worker", "--workers"): 2,  # one of N workers on the same box
+    }
+
+    def test_same_type_choices_and_default_everywhere(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        by_flag: dict[str, dict] = {}
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    if flag.startswith("--") and flag != "--help":
+                        by_flag.setdefault(flag, {})[command] = action
+        shared = {flag: uses for flag, uses in by_flag.items() if len(uses) > 1}
+        assert {"--scan-backend", "--scan-workers", "--mode", "--sma-set",
+                "--cache-entries", "--workers", "--queue", "--events",
+                "--faults", "--db"} <= set(shared)
+        for flag, uses in shared.items():
+            if flag == "--shards":  # serve: how many to launch; shard-init: to cut
+                continue
+            reference = next(
+                action for command, action in uses.items()
+                if (command, flag) not in self.DEFAULT_EXCEPTIONS
+            )
+            for command, action in uses.items():
+                assert type(action) is type(reference), (flag, command)
+                assert action.type == reference.type, (flag, command)
+                assert action.choices == reference.choices, (flag, command)
+                expected = self.DEFAULT_EXCEPTIONS.get(
+                    (command, flag), reference.default
+                )
+                assert action.default == expected, (flag, command)

@@ -2,7 +2,8 @@
 
 The checker below is a deliberately minimal validator of the Prometheus
 text format 0.0.4 — enough to catch malformed names, labels, values,
-duplicate/misordered HELP/TYPE lines and inconsistent histograms.
+duplicate/misordered HELP/TYPE lines, a metric family split into more
+than one group, and inconsistent histograms.
 """
 
 import json
@@ -10,8 +11,11 @@ import re
 import urllib.error
 import urllib.request
 
+import pytest
+
 from repro.obs import MetricsServer, render_prometheus
 from repro.server.metrics import MetricsRegistry
+from repro.shard.router import ShardScoreboard
 from repro.storage.stats import IoStats
 
 _SAMPLE = re.compile(
@@ -35,6 +39,8 @@ def parse_prometheus(text: str) -> dict:
     helps: dict[str, str] = {}
     types: dict[str, str] = {}
     samples: dict[str, list] = {}
+    current = None  # the family whose group of samples is open
+    closed: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -68,6 +74,13 @@ def parse_prometheus(text: str) -> dict:
         value = float(value_text)  # accepts +Inf/-Inf/NaN spellings
         base = _base_name(name, types)
         assert base in types, f"line {lineno}: sample {name} lacks TYPE"
+        # 0.0.4: all samples of one metric form a single group
+        if base != current:
+            assert base not in closed, (
+                f"line {lineno}: {base} re-appears after another family started"
+            )
+            closed.add(current)
+            current = base
         samples.setdefault(name, []).append((labels, value))
     # histogram consistency: cumulative buckets ending at +Inf == _count
     for name, mtype in types.items():
@@ -121,6 +134,30 @@ class TestRenderPrometheus:
     def test_output_passes_format_checker(self):
         samples = parse_prometheus(render_prometheus(_busy_registry().snapshot()))
         assert samples  # non-empty exposition
+
+    def test_families_stay_contiguous_with_many_tables_and_shards(self):
+        registry = _busy_registry()
+        registry.record_grading("ORDERS", 0.2, 0.5, 0.3)
+        snapshot = registry.snapshot()
+        scoreboard = ShardScoreboard(11)
+        for shard_id in range(11):
+            scoreboard.record_shard_success(shard_id, 0.01 * (shard_id + 1))
+        scoreboard.record_shard_failure(3, unavailable=True)
+        snapshot["shard"] = scoreboard.snapshot()
+        samples = parse_prometheus(render_prometheus(snapshot))
+        assert len(samples["repro_grading_fraction"]) == 6
+        assert [labels["shard"] for labels, _ in samples["repro_shard_up"]] == [
+            str(shard_id) for shard_id in range(11)  # numeric: "10" after "2"
+        ]
+        assert len(samples["repro_shard_latency_seconds"]) == 33
+
+    def test_checker_rejects_a_split_family(self):
+        text = (
+            "# TYPE a gauge\n# TYPE b gauge\n"
+            'a{t="x"} 1\nb{t="x"} 1\na{t="y"} 1\n'
+        )
+        with pytest.raises(AssertionError, match="re-appears"):
+            parse_prometheus(text)
 
     def test_core_series_values(self):
         samples = parse_prometheus(render_prometheus(_busy_registry().snapshot()))

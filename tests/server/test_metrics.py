@@ -155,3 +155,32 @@ class TestMetricsRegistry:
         assert "skip rate" in text
         assert "p95" in text
         assert "q1" in text
+
+    def test_render_metrics_shows_every_section_the_catalogue_exports(self):
+        from repro.obs.exposition import walk
+
+        registry = MetricsRegistry()
+        registry.record_submitted()
+        registry.record_success("q1", 0.1, IoStats(), strategy="sma_gaggr")
+        registry.record_grading("LINEITEM", 0.6, 0.3, 0.1)
+        registry.record_quarantine("LINEITEM", "q1")
+        registry.record_ingest("LINEITEM", "insert", 2, 1)
+        registry.record_ledger({"fan_out": 2, "tables": {"LINEITEM": {
+            "buckets_fetched": 10, "buckets_skipped": 30}}})
+        registry.set_scan_info(backend="process", scan_workers=2)
+        snapshot = registry.snapshot()
+        snapshot["shard"] = {"fanout": {"scatter_queries": 1}, "shards": {
+            "0": {"up": True, "requests": 1, "failures": 0}}}
+        snapshot["events"] = {"written": 7, "dropped": 0}
+        text = render_metrics(snapshot)
+        # a quarantine, a grading mix, a skipped-bucket count: all visible
+        assert "sma_quarantined_by_table_total: LINEITEM 1" in text
+        assert "grading_fraction: LINEITEM qualifying 0.6" in text
+        assert "query_ledger_buckets_total: LINEITEM fetched 10, LINEITEM skipped 30" in text
+        assert "scan_backend: process 1" in text
+        head = ("service", "queries", "latency_hist", "queue_wait_hist", "io")
+        missing = {
+            metric.name for metric, _ in walk(snapshot)
+            if metric.section not in head and metric.name not in text
+        }
+        assert not missing  # beyond the hand-laid head, nothing is skipped

@@ -110,6 +110,44 @@ class TestServeSharded:
             assert "shard_worker_start" in kinds
             assert "query_finish" in kinds
 
+    def test_scan_backend_and_trace_file_reach_the_tier(
+        self, cli_env, capsys, tmp_path
+    ):
+        _, sharded = cli_env
+        events_dir = str(tmp_path / "shard-events")
+        trace_file = str(tmp_path / "router.jsonl")
+        code, out, _ = run(
+            capsys, "serve", "--db", sharded, "--shards", "2",
+            "--workers", "2", "--clients", "2", "--queries", "4",
+            "--scan-backend", "process", "--trace-file", trace_file,
+            "--shard-events", events_dir,
+        )
+        assert code == 0
+        assert "trace events:" in out
+        for shard_id in (0, 1):
+            with open(f"{events_dir}/shard-{shard_id}.jsonl", encoding="utf-8") as f:
+                events = [json.loads(line) for line in f]
+            (start,) = [e for e in events if e["event"] == "server_start"]
+            assert start["scan_backend"] == "process"
+        with open(trace_file, encoding="utf-8") as f:
+            kinds = {json.loads(line)["event"] for line in f}
+        # the flag's help promises span trees and ledgers, not just lifecycle
+        assert {"router_start", "query_finish", "trace", "query_ledger"} <= kinds
+
+    @pytest.mark.parametrize("flag", [
+        ("--shared-scans",), ("--slow-ms", "5"), ("--stripes", "4"),
+        ("--fault-events", "faults.jsonl"),
+    ])
+    def test_single_node_only_flag_is_refused_not_dropped(
+        self, cli_env, capsys, flag
+    ):
+        _, sharded = cli_env
+        code, _, err = run(
+            capsys, "serve", "--db", sharded, "--shards", "2", *flag
+        )
+        assert code == 1
+        assert flag[0] in err and "--shards" in err
+
     def test_shard_count_mismatch_rejected(self, cli_env, capsys):
         _, sharded = cli_env
         code, _, err = run(
