@@ -15,32 +15,32 @@ import time
 
 from repro.bench import ALL_EXPERIMENTS
 
-#: Scale overrides for the --fast mode (CI-friendly).
+#: Scale overrides for the --fast mode (CI-friendly), by experiment id.
 _FAST_OVERRIDES = {
-    "exp_sma_creation": {"scale_factor": 0.005},
-    "exp_space_overhead": {"scale_factor": 0.005},
-    "exp_query1_speedup": {"scale_factor": 0.01},
-    "exp_breakeven_sweep": {
+    "E1": {"scale_factor": 0.005},
+    "E2": {"scale_factor": 0.005},
+    "E4": {"scale_factor": 0.01},
+    "F5": {
         "scale_factor": 0.01,
         "fractions": (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
     },
-    "exp_hierarchical": {"scale_factor": 0.01},
-    "exp_bucket_size": {"scale_factor": 0.01, "pages_per_bucket": (1, 4, 16)},
-    "exp_query6": {"scale_factor": 0.01},
-    "exp_modern_hardware": {"scale_factor": 0.01},
+    "E7": {"scale_factor": 0.01},
+    "E10": {"scale_factor": 0.01, "pages_per_bucket": (1, 4, 16)},
+    "X1": {"scale_factor": 0.01},
+    "X3": {"scale_factor": 0.01},
 }
 
 
 def main(fast: bool = False) -> None:
     started = time.perf_counter()
-    for experiment in ALL_EXPERIMENTS:
-        overrides = _FAST_OVERRIDES.get(experiment.__name__, {}) if fast else {}
+    for exp_id, experiment in ALL_EXPERIMENTS.items():
+        overrides = _FAST_OVERRIDES.get(exp_id, {}) if fast else {}
         t0 = time.perf_counter()
         result = experiment(**overrides)
         elapsed = time.perf_counter() - t0
         print()
         print(result.render())
-        print(f"[{experiment.__name__} finished in {elapsed:.1f}s]")
+        print(f"[{exp_id} finished in {elapsed:.1f}s]")
     print(f"\nall experiments done in {time.perf_counter() - started:.1f}s")
 
 

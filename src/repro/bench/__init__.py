@@ -1,4 +1,7 @@
-"""Benchmark harness and the paper's experiments (E1–E10, F2, F5, X1–X4)."""
+"""Benchmark harness and the paper's experiments (E1–E10, F2, F5, X1–X7).
+
+:data:`ALL_EXPERIMENTS` maps each experiment id to its ``exp_*`` function.
+"""
 
 from repro.bench.harness import (
     ExperimentResult,
@@ -6,62 +9,14 @@ from repro.bench.harness import (
     format_table,
     human_bytes,
     human_seconds,
-    metric_unit,
-    run_and_render,
 )
-from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
-    exp_bitmap_vs_sma,
-    exp_concurrency_throughput,
-    exp_breakeven_sweep,
-    exp_btree_uselessness,
-    exp_bucket_size,
-    exp_datacube_space,
-    exp_diagonal_distribution,
-    exp_hierarchical,
-    exp_maintenance,
-    exp_modern_hardware,
-    exp_projection_index,
-    exp_query1_speedup,
-    exp_query6,
-    exp_scaling_linearity,
-    exp_scan_parallelism,
-    exp_semijoin,
-    exp_shard_scaling,
-    exp_sma_creation,
-    exp_sma_file_ratio,
-    exp_space_overhead,
-    exp_versatility,
-)
+from repro.bench.experiments import ALL_EXPERIMENTS
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
     "ScratchCatalog",
-    "exp_bitmap_vs_sma",
-    "exp_breakeven_sweep",
-    "exp_concurrency_throughput",
-    "exp_btree_uselessness",
-    "exp_bucket_size",
-    "exp_datacube_space",
-    "exp_diagonal_distribution",
-    "exp_hierarchical",
-    "exp_maintenance",
-    "exp_modern_hardware",
-    "exp_projection_index",
-    "exp_query1_speedup",
-    "exp_query6",
-    "exp_scaling_linearity",
-    "exp_scan_parallelism",
-    "exp_semijoin",
-    "exp_shard_scaling",
-    "exp_sma_creation",
-    "exp_sma_file_ratio",
-    "exp_space_overhead",
-    "exp_versatility",
     "format_table",
     "human_bytes",
     "human_seconds",
-    "metric_unit",
-    "run_and_render",
 ]

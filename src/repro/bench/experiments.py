@@ -2,9 +2,9 @@
 
 Each ``exp_*`` function stands up its own scratch database, runs the
 measurement, and returns an :class:`~repro.bench.harness.ExperimentResult`
-whose ``metrics`` the tests and benchmarks assert on.  The experiment ids
-(E1–E10, F2, F5) are indexed in DESIGN.md; paper-vs-measured numbers are
-recorded in EXPERIMENTS.md.
+whose ``metrics`` the tests assert on.  The experiment ids (E1–E10, F2,
+F5, X1–X7) key :data:`ALL_EXPERIMENTS` and are indexed in DESIGN.md;
+paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 
 All experiments run at laptop scale (default SF ≤ 0.05) and report the
 *simulated 1998 seconds* from exact I/O counts next to measured
@@ -1301,38 +1301,25 @@ def exp_scaling_linearity(
     )
 
 
-from repro.bench.caching import exp_result_cache
-from repro.bench.concurrency import (
-    exp_concurrency_throughput,
-    exp_ingest_concurrency,
-    exp_scan_parallelism,
-)
-from repro.bench.sharding import exp_shard_scaling
-
-#: Every experiment, in the DESIGN.md index order — drives EXPERIMENTS.md
-#: regeneration and the full bench run.
-ALL_EXPERIMENTS = (
-    exp_sma_creation,
-    exp_space_overhead,
-    exp_datacube_space,
-    exp_query1_speedup,
-    exp_breakeven_sweep,
-    exp_diagonal_distribution,
-    exp_sma_file_ratio,
-    exp_hierarchical,
-    exp_semijoin,
-    exp_maintenance,
-    exp_bucket_size,
-    exp_query6,
-    exp_btree_uselessness,
-    exp_modern_hardware,
-    exp_projection_index,
-    exp_bitmap_vs_sma,
-    exp_scaling_linearity,
-    exp_versatility,
-    exp_concurrency_throughput,
-    exp_scan_parallelism,
-    exp_shard_scaling,
-    exp_ingest_concurrency,
-    exp_result_cache,
-)
+#: Every experiment by its id, in the DESIGN.md index order — drives
+#: ``repro bench --only`` and the full evaluation run.
+ALL_EXPERIMENTS = {
+    "E1": exp_sma_creation,
+    "E2": exp_space_overhead,
+    "E3": exp_datacube_space,
+    "E4": exp_query1_speedup,
+    "F5": exp_breakeven_sweep,
+    "F2": exp_diagonal_distribution,
+    "E5": exp_sma_file_ratio,
+    "E7": exp_hierarchical,
+    "E8": exp_semijoin,
+    "E9": exp_maintenance,
+    "E10": exp_bucket_size,
+    "X1": exp_query6,
+    "X2": exp_btree_uselessness,
+    "X3": exp_modern_hardware,
+    "X4": exp_projection_index,
+    "X6": exp_bitmap_vs_sma,
+    "X5": exp_scaling_linearity,
+    "X7": exp_versatility,
+}

@@ -2,63 +2,20 @@
 
 Every experiment in :mod:`repro.bench.experiments` returns an
 :class:`ExperimentResult` — machine-checkable rows plus human-readable
-rendering — so the same code drives pytest assertions, the
-pytest-benchmark targets, and the EXPERIMENTS.md regeneration.
+rendering — so the same code drives pytest assertions, ``repro bench``
+and the EXPERIMENTS.md regeneration.
 """
 
 from __future__ import annotations
 
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.storage.catalog import Catalog
-# human_* are not used below: the bench modules, tests/bench and examples/
+# human_* are not used below: experiments.py, tests/bench and examples/
 # import all three formatters from the harness.
 from repro.textfmt import format_table, human_bytes, human_seconds  # noqa: F401
-
-#: latency-percentile metric names: ``p50``, ``p95_s4``, ``read_p99_x`` ...
-_PERCENTILE_RE = re.compile(r"(?:^|_)p\d{1,3}(?:_|$)")
-
-
-def metric_unit(name: str) -> str:
-    """Canonical unit for a benchmark metric, from its naming convention.
-
-    The BENCH_*.json artifacts label every metric with a unit so CI
-    dashboards don't have to guess.  Time is always ``"seconds"`` —
-    including latency percentiles (``p50_s4``), which name a duration
-    even when the suffix encodes a shard count rather than seconds.
-    Dimensionless tallies (batch/row/epoch counters) are ``"count"``;
-    only a genuinely unit-less metric falls through to ``"value"``.
-    """
-    if name.startswith("qps") or "_qps" in name:
-        return "queries/s"
-    if "speedup" in name or name.endswith("_ratio"):
-        return "x"
-    if "rate" in name or "fraction" in name:
-        return "fraction"
-    if "bytes" in name:
-        return "bytes"
-    if (
-        "wall" in name
-        or "seconds" in name
-        or "latency" in name
-        or name.endswith("_s")
-        or _PERCENTILE_RE.search(name)
-    ):
-        return "seconds"
-    if (
-        "completed" in name
-        or "batches" in name
-        or "rows" in name
-        or "epoch" in name
-        or name.startswith("num_")
-        or name.endswith("_count")
-    ):
-        return "count"
-    return "value"
 
 
 @dataclass
@@ -111,10 +68,3 @@ class ScratchCatalog:
         self.catalog.close()
         shutil.rmtree(self._dir, ignore_errors=True)
 
-
-def run_and_render(experiment: Callable[[], ExperimentResult]) -> ExperimentResult:
-    """Run one experiment and print its rendering (for -s bench runs)."""
-    result = experiment()
-    print()
-    print(result.render())
-    return result

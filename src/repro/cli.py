@@ -338,7 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _build_injector(args: argparse.Namespace):
     """A FaultInjector from --faults/--fault-seed, or None."""
-    if not getattr(args, "faults", None):
+    if not args.faults:
         return None
     from repro.storage.faults import FaultInjector, parse_fault_specs
 
@@ -346,85 +346,29 @@ def _build_injector(args: argparse.Namespace):
     return FaultInjector(seed=args.fault_seed, specs=specs)
 
 
-def _report_faults(injector, args: argparse.Namespace) -> None:
-    if injector is None:
-        return
-    print(f"faults: {injector.fired_count()} injected ({injector.describe()})")
-    if getattr(args, "fault_events", None):
-        injector.write_jsonl(args.fault_events)
-        print(f"fault events -> {args.fault_events}")
-
-
-def _trace_artifact_path(template: str, exp_id: str) -> str:
-    """``traces.jsonl`` + ``C1`` -> ``traces_C1.jsonl`` (one per experiment)."""
-    stem, dot, suffix = template.rpartition(".")
-    if dot:
-        return f"{stem}_{exp_id}.{suffix}"
-    return f"{template}_{exp_id}"
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    import inspect
-
     from repro.bench.experiments import ALL_EXPERIMENTS
 
-    wanted = None
+    wanted = list(ALL_EXPERIMENTS)
     if args.only:
-        wanted = {piece.strip().upper() for piece in args.only.split(",")}
-    injector = _build_injector(args)
-    ran = 0
+        wanted = [piece.strip().upper() for piece in args.only.split(",")]
+        unknown = [exp_id for exp_id in wanted if exp_id not in ALL_EXPERIMENTS]
+        if unknown:
+            print(f"error: no experiment matches {', '.join(unknown)}; "
+                  f"ids: {', '.join(ALL_EXPERIMENTS)}", file=sys.stderr)
+            return 1
     renderings: list[str] = []
-    for experiment in ALL_EXPERIMENTS:
-        probe_id = _EXPERIMENT_IDS.get(experiment.__name__)
-        if wanted is not None:
-            # Cheap pre-filter on the function's exp id without running:
-            # ids are stable and documented, so map via a dry attribute.
-            if probe_id is None or probe_id not in wanted:
-                continue
-        kwargs = {}
-        parameters = inspect.signature(experiment).parameters
-        if injector is not None and "fault_injector" in parameters:
-            kwargs["fault_injector"] = injector
-        if getattr(args, "scan_backend", None) and "backends" in parameters:
-            kwargs["backends"] = (args.scan_backend,)
-        if "cache_entries" in parameters and getattr(args, "cache_entries", None):
-            kwargs["cache_entries"] = args.cache_entries
-        if "shared_scans" in parameters and getattr(args, "shared_scans", False):
-            kwargs["shared_scans"] = True
-        event_log = None
-        if (
-            args.trace_file
-            and "event_log" in inspect.signature(experiment).parameters
-        ):
-            from repro.obs import EventLog
-
-            path = _trace_artifact_path(
-                args.trace_file, probe_id or experiment.__name__
-            )
-            event_log = EventLog(path)
-            kwargs["event_log"] = event_log
-        try:
-            result = experiment(**kwargs)
-        finally:
-            if event_log is not None:
-                event_log.close()
-                stats = event_log.stats()
-                print(f"trace artifact: {stats['written']} events "
-                      f"({stats['dropped']} dropped) -> {path}")
-        rendered = result.render()
+    for exp_id, experiment in ALL_EXPERIMENTS.items():
+        if exp_id not in wanted:
+            continue
+        rendered = experiment().render()
         renderings.append(rendered)
         print()
         print(rendered)
-        ran += 1
-    if wanted is not None and ran == 0:
-        print(f"error: no experiment matches {sorted(wanted)}; "
-              f"ids: {sorted(set(_EXPERIMENT_IDS.values()))}", file=sys.stderr)
-        return 1
-    _report_faults(injector, args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("\n\n".join(renderings) + "\n")
-        print(f"\nwrote {ran} experiment table(s) to {args.out}")
+        print(f"\nwrote {len(renderings)} experiment table(s) to {args.out}")
     return 0
 
 
@@ -606,35 +550,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.report:
         print()
         print(render_metrics(snapshot))
-    _report_faults(injector, args)
+    if injector is not None:
+        print(f"faults: {injector.fired_count()} injected "
+              f"({injector.describe()})")
+        if args.fault_events:
+            injector.write_jsonl(args.fault_events)
+            print(f"fault events -> {args.fault_events}")
     return 0
-
-
-_EXPERIMENT_IDS = {
-    "exp_sma_creation": "E1",
-    "exp_space_overhead": "E2",
-    "exp_datacube_space": "E3",
-    "exp_query1_speedup": "E4",
-    "exp_breakeven_sweep": "F5",
-    "exp_diagonal_distribution": "F2",
-    "exp_sma_file_ratio": "E5",
-    "exp_hierarchical": "E7",
-    "exp_semijoin": "E8",
-    "exp_maintenance": "E9",
-    "exp_bucket_size": "E10",
-    "exp_query6": "X1",
-    "exp_btree_uselessness": "X2",
-    "exp_modern_hardware": "X3",
-    "exp_projection_index": "X4",
-    "exp_scaling_linearity": "X5",
-    "exp_bitmap_vs_sma": "X6",
-    "exp_versatility": "X7",
-    "exp_concurrency_throughput": "C1",
-    "exp_scan_parallelism": "C2",
-    "exp_shard_scaling": "C3",
-    "exp_ingest_concurrency": "C4",
-    "exp_result_cache": "C5",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -654,18 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="buffer pool lock stripes (default: sized "
                        "automatically from --buffer-pages)")
 
-    def add_scan(p: argparse.ArgumentParser, *, bench: bool = False) -> None:
-        """``bench`` has no per-query knob: its ``--scan-backend`` narrows
-        the backend grid of the experiments that have one."""
-        if not bench:
-            p.add_argument("--scan-workers", type=int, default=1,
-                           help="morsel-scan threads per running query "
-                           "(default 1: serial scans)")
+    def add_scan(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--scan-workers", type=int, default=1,
+                       help="morsel-scan threads per running query "
+                       "(default 1: serial scans)")
         p.add_argument("--scan-backend", choices=("thread", "process"),
-                       default=None if bench else "thread",
-                       help="restrict backend-aware experiments (C2) to one "
-                       "scan backend (default: full backend grid)" if bench
-                       else "where morsels run: in-process threads or a "
+                       default="thread",
+                       help="where morsels run: in-process threads or a "
                        "persistent worker-process pool (default thread)")
 
     def add_plan(p: argparse.ArgumentParser, *, sma_set: bool = True) -> None:
@@ -673,17 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         if sma_set:
             p.add_argument("--sma-set", default=None,
                            help="restrict the planner to one SMA set")
-
-    def add_cache(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--result-cache", action="store_true",
-                       help="cache finalized results by plan fingerprint "
-                       "(invalidated on ingest epoch advance and SMA "
-                       "quarantine)")
-        p.add_argument("--cache-entries", type=int, default=256,
-                       help="result cache capacity in entries (default 256)")
-        p.add_argument("--shared-scans", action="store_true",
-                       help="let queued queries over the same table attach "
-                       "to one in-flight shared bucket pass")
 
     def add_pool(p: argparse.ArgumentParser, *, workers: int) -> None:
         p.add_argument("--workers", type=int, default=workers,
@@ -769,21 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_db(p_info)
     p_info.set_defaults(func=cmd_info)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the paper experiments",
-        description="Run the paper experiments.  The scan and cache options "
-        "are forwarded to the experiments that take them (C2, C5).",
-    )
+    p_bench = sub.add_parser("bench", help="run the paper experiments")
     p_bench.add_argument("--only", help="comma-separated experiment ids "
                          "(e.g. E4,F5)")
     p_bench.add_argument("--out", help="also write the result tables to a file")
-    p_bench.add_argument("--trace-file",
-                         help="JSONL trace artifact template; experiments "
-                         "that serve queries (C1, C2) write one file each, "
-                         "e.g. traces.jsonl -> traces_C1.jsonl")
-    add_scan(p_bench, bench=True)
-    add_cache(p_bench)
-    add_faults(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(
@@ -799,7 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open-loop arrival rate in queries/s "
                          "(default: closed loop)")
     add_scan(p_serve)
-    add_cache(p_serve)
+    p_serve.add_argument("--result-cache", action="store_true",
+                         help="cache finalized results by plan fingerprint "
+                         "(invalidated on ingest epoch advance and SMA "
+                         "quarantine)")
+    p_serve.add_argument("--cache-entries", type=int, default=256,
+                         help="result cache capacity in entries (default 256)")
+    p_serve.add_argument("--shared-scans", action="store_true",
+                         help="let queued queries over the same table attach "
+                         "to one in-flight shared bucket pass")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-query timeout in seconds (default: none)")
     p_serve.add_argument("--report", action="store_true",

@@ -317,7 +317,7 @@ def zipf_mix(
 
     Rank 1 is the hottest plan; with the defaults (``distinct=16``,
     ``s=1.2``) it draws ~1/3 of the traffic, which is the repeat-heavy
-    shape the plan-fingerprint result cache (C5) is built for.  Each
+    shape the plan-fingerprint result cache is built for.  Each
     variant uses a different ``delta`` window, so the variants are
     genuinely distinct logical plans — the cache can only merge true
     repeats, while shared scans may still coalesce different variants

@@ -217,9 +217,11 @@ class TestDefineAndInfo:
 
 class TestBenchFilter:
     def test_unknown_id_errors(self, capsys):
-        code, _, err = run(capsys, "bench", "--only", "E99")
-        assert code == 1
-        assert "no experiment matches" in err
+        for only in ("E99", "E5,E99"):
+            code, _, err = run(capsys, "bench", "--only", only)
+            assert code == 1
+            assert "no experiment matches" in err
+            assert "E99" in err
 
     def test_single_cheap_experiment(self, capsys):
         code, out, _ = run(capsys, "bench", "--only", "E5")
@@ -256,7 +258,6 @@ class TestSharedOptions:
 
     #: where a subcommand's default legitimately differs, and why
     DEFAULT_EXCEPTIONS = {
-        ("bench", "--scan-backend"): None,  # no default: the full backend grid
         ("shard-worker", "--workers"): 2,  # one of N workers on the same box
     }
 
@@ -277,7 +278,7 @@ class TestSharedOptions:
                         by_flag.setdefault(flag, {})[command] = action
         shared = {flag: uses for flag, uses in by_flag.items() if len(uses) > 1}
         assert {"--scan-backend", "--scan-workers", "--mode", "--sma-set",
-                "--cache-entries", "--workers", "--queue", "--events",
+                "--workers", "--queue", "--events",
                 "--faults", "--db"} <= set(shared)
         for flag, uses in shared.items():
             if flag == "--shards":  # serve: how many to launch; shard-init: to cut
