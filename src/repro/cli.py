@@ -433,10 +433,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     if args.shards:
-        # Shard workers have no shared-scan, slow-query or stripe setting;
+        # Shard workers have no slow-query or stripe setting;
         # their fault injectors are in other processes. Refuse, don't drop.
         refused = [flag for flag, given in (
-            ("--shared-scans", args.shared_scans),
             ("--slow-ms", args.slow_ms is not None),
             ("--stripes", args.stripes is not None),
             ("--fault-events", args.fault_events),
@@ -514,7 +513,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 scan_workers=args.scan_workers,
                 scan_backend=args.scan_backend,
                 slow_query_s=args.slow_ms / 1000.0 if args.slow_ms else None,
-                shared_scans=args.shared_scans,
                 **common,
             ))
         if args.metrics_port is not None:
@@ -535,7 +533,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"scrapeable ...")
             time.sleep(args.linger)
         # observed_snapshot, not metrics.snapshot: the tier's own sections
-        # (result cache, shared scans, shard scoreboard) belong in --report.
+        # (result cache, shard scoreboard) belong in --report.
         snapshot = tier.observed_snapshot()
     if event_log is not None:
         stats = event_log.stats()
@@ -700,9 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "quarantine)")
     p_serve.add_argument("--cache-entries", type=int, default=256,
                          help="result cache capacity in entries (default 256)")
-    p_serve.add_argument("--shared-scans", action="store_true",
-                         help="let queued queries over the same table attach "
-                         "to one in-flight shared bucket pass")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-query timeout in seconds (default: none)")
     p_serve.add_argument("--report", action="store_true",
@@ -727,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "shard-init`): launch this many local shard worker "
                          "processes and scatter-gather through the router; "
                          "the pool, scan and fault options go to every "
-                         "worker, --shared-scans, --slow-ms, --stripes and "
-                         "--fault-events are refused")
+                         "worker, --slow-ms, --stripes and --fault-events "
+                         "are refused")
     p_serve.add_argument("--shard-events",
                          help="with --shards: directory for per-shard JSONL "
                          "event logs (shard-<k>.jsonl)")

@@ -9,10 +9,13 @@ needed for an updated tuple."
 table across inserts, updates and deletes:
 
 * **insert** — new tuples append to the trailing bucket (time-of-creation
-  clustering falls out of this) and then into fresh buckets.  min, max,
-  sum and count are all *advanceable* from the new tuples alone, so no
-  base bucket needs re-reading; each touched SMA entry costs one page
-  write — the paper's "at most one additional page access".
+  clustering falls out of this) and then into fresh buckets.  Fresh
+  buckets' entries come from the new tuples alone; the topped-up
+  trailing bucket's entries are recomputed from the whole bucket, which
+  the append has just written (a buffer-pool hit), so a float SUM entry
+  is bit-identical to the heap fold of that bucket.  Each touched SMA
+  entry costs one page write — the paper's "at most one additional
+  page access".
 * **update / delete** — min/max are not subtractable, so the affected
   bucket's aggregates are recomputed from the bucket the operation has
   already read and rewritten anyway; again one SMA page access per
@@ -102,11 +105,10 @@ class SmaMaintainer:
         # Split the inserted records by destination bucket.
         cursor = 0
         if trailing_room and old_buckets:
-            take = min(trailing_room, len(records))
-            self._advance_existing_bucket(
-                old_buckets - 1, records[:take], schema, file_length=old_buckets
+            self._refresh_trailing_bucket(
+                old_buckets - 1, schema, file_length=old_buckets
             )
-            cursor = take
+            cursor = min(trailing_room, len(records))
         new_entries_start = old_buckets
         bucket_no = new_entries_start
         per_definition_new: dict[tuple[str, str], list[dict]] = {}
@@ -124,37 +126,26 @@ class SmaMaintainer:
         if num_new:
             self._append_new_entries(per_definition_new, num_new, old_buckets)
 
-    def _advance_existing_bucket(
-        self, bucket_no: int, new_records: np.ndarray, schema, file_length: int
+    def _refresh_trailing_bucket(
+        self, bucket_no: int, schema, file_length: int
     ) -> None:
-        """Advance the trailing bucket's entries from the new tuples only."""
+        """Recompute the topped-up trailing bucket's entries from all of it.
+
+        Advancing a float SUM by the new tuples' partial sum rounds
+        differently from the one-pass sum a heap fold of the bucket
+        takes, so a later qualifying SMA answer would drift from the
+        heap answer in the last bits.  The bucket was just written, so
+        re-reading it hits the buffer pool.
+        """
+        records = self.table.read_bucket(bucket_no)
         for sma_set in self.sma_sets:
             for definition in sma_set.definitions.values():
-                fresh = compute_bucket_entry(definition, new_records, schema)
+                fresh = compute_bucket_entry(definition, records, schema)
                 for key, (value, _) in fresh.items():
                     sma = self._ensure_group_file(
                         sma_set, definition, key, length=file_length
                     )
-                    self._advance_entry(
-                        sma, definition.aggregate.kind, bucket_no, value
-                    )
-
-    @staticmethod
-    def _advance_entry(
-        sma: SmaFile, kind: AggregateKind, index: int, value: object
-    ) -> None:
-        valid = sma.valid_mask()
-        defined = valid is None or bool(valid[index])
-        current = sma.value_at(index, charge=False)
-        if kind is AggregateKind.COUNT or kind is AggregateKind.SUM:
-            base = current if defined else 0
-            sma.set_entry(index, base + value)
-        elif kind is AggregateKind.MIN:
-            if not defined or value < current:
-                sma.set_entry(index, value)
-        elif kind is AggregateKind.MAX:
-            if not defined or value > current:
-                sma.set_entry(index, value)
+                    sma.set_entry(bucket_no, value, valid=True)
 
     def _append_new_entries(
         self,

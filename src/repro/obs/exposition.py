@@ -244,18 +244,6 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("result_cache_hit_rate", "gauge",
            "Fraction of lookups served without execution.",
            "result_cache.hit_rate"),
-    Metric("shared_scan_consumers_total", "counter",
-           "Shared-scan consumers by role (detach = fell back to a solo "
-           "execution).", "shared_scan.{role}",
-           {"role": {"lead": "leads", "attach": "attaches",
-                     "detach": "detaches"}}),
-    Metric("shared_scan_fan_in_total", "counter",
-           "Summed consumers over all led passes.", "shared_scan.fan_in_total"),
-    Metric("shared_scan_fan_in_max", "gauge",
-           "Largest consumer count one pass served.", "shared_scan.fan_in_max"),
-    Metric("shared_scan_pending_groups", "gauge",
-           "Passes currently gathering consumers.",
-           "shared_scan.pending_groups"),
     Metric("events_written_total", "counter",
            "Events persisted by the JSONL writer.", "events.written"),
     Metric("events_dropped_total", "counter",
@@ -309,9 +297,8 @@ def walk(snapshot: dict):
     entry *snapshot* holds at least one sample of, in catalogue order.
 
     *snapshot* is a :meth:`MetricsRegistry.snapshot` dict, optionally
-    augmented with the ``result_cache`` / ``shared_scan`` / ``shard`` /
-    ``events`` sections ``observed_snapshot()`` adds; a partial dict is
-    fine.
+    augmented with the ``result_cache`` / ``shard`` / ``events``
+    sections ``observed_snapshot()`` adds; a partial dict is fine.
     """
     for metric in CATALOGUE:
         gate = _GATES.get(metric.section)

@@ -6,8 +6,8 @@ baseline side of every runtime experiment.  :class:`ParallelGAggr` is
 the morsel-driven variant the planner builds when scan parallelism is
 enabled: workers fold disjoint bucket ranges into partial
 :class:`AggregationState` instances that merge deterministically, so the
-result is byte-identical to the serial fold.  It is the one-consumer case
-of :class:`~repro.query.morsel.FoldTask`.
+result is byte-identical to the serial fold.  Each morsel is one
+:class:`~repro.query.morsel.FoldTask`.
 """
 
 from __future__ import annotations
@@ -76,15 +76,14 @@ class ParallelGAggr:
         """Advance a full :class:`AggregationState` without finalizing."""
         spec = FoldSpec(self.predicate, self.group_by, self.aggregates)
         tasks = [
-            FoldTask(morsel, (spec,))
+            FoldTask(morsel, spec)
             for morsel in make_morsels(
                 range(self.table.num_buckets), self.parallelism.morsel_buckets
             )
         ]
-        (state,) = dispatch_fold(
-            self.table, (spec,), tasks, self.parallelism, self.tracer, "scan_morsel"
+        return dispatch_fold(
+            self.table, spec, tasks, self.parallelism, self.tracer, "scan_morsel"
         )
-        return state
 
     def execute(self) -> QueryRows:
         return self.collect_state().finalize()

@@ -5,9 +5,9 @@ skip; qualifying: pass unfiltered (Figure 6) or advance from the
 SMA-files (Figure 7); ambivalent: fetch, filter, advance.  This module
 states it once per *task shape*:
 
-* :class:`FoldTask` — a bucket list folded into one partial
-  :class:`~repro.query.aggregation.AggregationState` per consumer
-  (``ParallelGAggr`` is the one-consumer case of the shared pass);
+* :class:`FoldTask` — a bucket list filtered and folded into one
+  partial :class:`~repro.query.aggregation.AggregationState`
+  (``ParallelGAggr``'s morsel);
 * :class:`SmaRangeTask` — a contiguous bucket range of SMA_GAggr:
   qualifying buckets advance from SMA entries, ambivalent ones are
   fetched and filtered.  The serial plan runs the same task over the
@@ -51,24 +51,24 @@ class FoldSpec(NamedTuple):
 
 @dataclass
 class FoldTask:
-    """Decode each bucket once; filter and fold it for every consumer."""
+    """Fetch each bucket; filter it and fold it into one partial state."""
 
     buckets: list[int]
-    consumers: tuple[FoldSpec, ...]
+    spec: FoldSpec
 
-    def run(self, table) -> list[AggregationState]:
+    def run(self, table) -> AggregationState:
         # pool.stats must resolve on the *running* thread: under the
         # dispatcher it is that worker's private child window.
         stats = table.heap.pool.stats
-        partials = [spec.new_state(table.schema) for spec in self.consumers]
+        state = self.spec.new_state(table.schema)
+        predicate = self.spec.predicate
         for bucket_no in self.buckets:
             records = table.read_bucket(bucket_no)
             stats.buckets_fetched += 1
             stats.tuples_scanned += len(records)
-            for spec, state in zip(self.consumers, partials):
-                mask = spec.predicate.evaluate(records)
-                state.consume_batch(records if mask.all() else records[mask])
-        return partials
+            mask = predicate.evaluate(records)
+            state.consume_batch(records if mask.all() else records[mask])
+        return state
 
 
 @dataclass
@@ -89,7 +89,7 @@ class SmaRangeTask:
     entries: object  # repro.query.sma_gaggr._SmaEntries
     spec: FoldSpec
 
-    def run(self, table) -> list[AggregationState]:
+    def run(self, table) -> AggregationState:
         stats = table.heap.pool.stats  # caller's (or worker's) window
         state = self.spec.new_state(table.schema)
         lo = self.lo
@@ -106,7 +106,7 @@ class SmaRangeTask:
                 stats.tuples_scanned += len(records)
                 mask = predicate.evaluate(records)
                 state.consume_batch(records[mask])
-        return [state]
+        return state
 
 
 @dataclass
@@ -172,24 +172,23 @@ def dispatch(
 
 def dispatch_fold(
     table,
-    specs: tuple[FoldSpec, ...],
+    spec: FoldSpec,
     tasks: list,
     parallelism: ScanParallelism,
     tracer=NO_TRACER,
     span_name: str = "scan_morsel",
-) -> list[AggregationState]:
-    """:func:`dispatch` aggregating *tasks*; one merged state per spec.
+) -> AggregationState:
+    """:func:`dispatch` aggregating *tasks* into one merged state.
 
-    Every task returns one partial per spec; partials merge per spec in
-    task order, which rebuilds the serial contribution sequence (see
+    Every task returns one partial; partials merge in task order, which
+    rebuilds the serial contribution sequence (see
     :meth:`AggregationState.merge`).  ``merge`` refuses a partial whose
     plan differs from its target's, so partials that crossed a process
     boundary are checked against the parent's plan here.
     """
-    partial_lists = dispatch(table, tasks, parallelism, tracer, span_name)
-    states = [spec.new_state(table.schema) for spec in specs]
-    with tracer.span("merge", attrs={"partials": len(partial_lists)}):
-        for partials in partial_lists:
-            for state, part in zip(states, partials, strict=True):
-                state.merge(part)
-    return states
+    partials = dispatch(table, tasks, parallelism, tracer, span_name)
+    state = spec.new_state(table.schema)
+    with tracer.span("merge", attrs={"partials": len(partials)}):
+        for part in partials:
+            state.merge(part)
+    return state

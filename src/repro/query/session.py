@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.errors import PlanningError
 from repro.obs.trace import resolve_tracer
 from repro.query.parallel import DEFAULT_MORSEL_BUCKETS, ScanParallelism
-from repro.query.planner import Explanation, Plan, PlanInfo, Planner
+from repro.query.planner import Explanation, PlanInfo, Planner
 from repro.query.query import (
     AggregateQuery,
     DeleteStatement,
@@ -200,46 +200,20 @@ class Session:
             query, (InsertStatement, UpdateStatement, DeleteStatement)
         ):
             return self._execute_dml(query)
-        if cold:
-            self.catalog.go_cold()
-            if self.parallelism.use_processes:
-                from repro.query import procpool
-
-                procpool.go_cold(self.catalog.root_dir)
-        pool = self.catalog.pool
-        pool.reset_sequence_tracking()
-        window = pool.stats
-        before = window.snapshot()
-        started = time.perf_counter()
-
-        tracer = self.tracer
-        # Admission: pin the table's ingest epoch.  Everything after this
-        # line reads one bucket-generation snapshot.
-        view = self.catalog.pin_view(query.table)
         # Root when standalone (`repro trace`), child of the service's
         # per-query root span when running on an executor worker.
-        with tracer.span(
-            "execute", attrs={"mode": mode, "table": query.table}
-        ) as exec_span:
-            with tracer.span("plan"):
-                plan = self._plan(query, mode=mode, sma_set=sma_set, table=view)
-            with tracer.span("run", attrs={"strategy": plan.info.strategy}):
-                columns, rows = plan.run()
-            exec_span.annotate(strategy=plan.info.strategy)
-
-        wall = time.perf_counter() - started
-        delta = window.snapshot() - before
+        (columns, rows), view, accounting = self._measured(
+            "read",
+            query,
+            {"mode": mode, "table": query.table},
+            mode=mode,
+            sma_set=sma_set,
+            cold=cold,
+        )
         if isinstance(query, AggregateQuery):
             rows = _sort_rows(rows, columns, query.order_by, query.order_desc)
         return QueryResult(
-            columns=columns,
-            rows=rows,
-            stats=delta,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(delta),
-            plan=plan.info,
-            warm=not cold,
-            epoch=view.epoch,
+            columns=columns, rows=rows, epoch=view.epoch, **accounting
         )
 
     def _execute_dml(self, statement: DmlStatement) -> QueryResult:
@@ -249,91 +223,14 @@ class Session:
         ``(rows_affected, epoch)`` row the DML plan produces, with the
         produced epoch echoed on ``QueryResult.epoch``.
         """
-        pool = self.catalog.pool
-        pool.reset_sequence_tracking()
-        window = pool.stats
-        before = window.snapshot()
-        started = time.perf_counter()
-
-        tracer = self.tracer
-        with tracer.span(
-            "execute", attrs={"dml": True, "table": statement.table}
-        ) as exec_span:
-            with tracer.span("plan"):
-                plan = self.planner.plan_dml(statement)
-            with tracer.span("run", attrs={"strategy": plan.info.strategy}):
-                columns, rows = plan.run()
-            exec_span.annotate(strategy=plan.info.strategy)
-
-        wall = time.perf_counter() - started
-        delta = window.snapshot() - before
+        (columns, rows), _, accounting = self._measured(
+            "dml", statement, {"dml": True, "table": statement.table}
+        )
         return QueryResult(
             columns=columns,
             rows=rows,
-            stats=delta,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(delta),
-            plan=plan.info,
-            warm=True,
             epoch=rows[0][1] if rows else None,
-        )
-
-    def execute_shared(
-        self,
-        query: AggregateQuery,
-        *,
-        dispatcher,
-        timeout_s: float | None = None,
-    ) -> QueryResult:
-        """Run *query* through a shared bucket pass (attach-or-lead).
-
-        Same measured window, epoch pinning and result shape as
-        :meth:`execute`; the state computation routes through
-        *dispatcher* (a
-        :class:`~repro.query.sharedscan.SharedScanDispatcher`), which
-        either leads one cooperative pass for every consumer gathered at
-        this ``(table, epoch)`` or attaches to a pending one.  Raises
-        :class:`~repro.query.sharedscan.SharedScanDetached` when this
-        consumer lost its pass — callers fall back to :meth:`execute`.
-        """
-        if not isinstance(query, AggregateQuery):
-            raise PlanningError(
-                "shared-scan execution applies to aggregate queries only"
-            )
-        pool = self.catalog.pool
-        pool.reset_sequence_tracking()
-        window = pool.stats
-        before = window.snapshot()
-        started = time.perf_counter()
-
-        tracer = self.tracer
-        view = self.catalog.pin_view(query.table)
-        with tracer.span(
-            "execute", attrs={"shared": True, "table": query.table}
-        ) as exec_span:
-            outcome = dispatcher.run(
-                view,
-                query,
-                parallelism=self.parallelism,
-                tracer=tracer,
-                timeout_s=timeout_s,
-            )
-            exec_span.annotate(strategy=outcome.info.strategy)
-
-        wall = time.perf_counter() - started
-        delta = window.snapshot() - before
-        rows = _sort_rows(
-            outcome.rows, outcome.columns, query.order_by, query.order_desc
-        )
-        return QueryResult(
-            columns=outcome.columns,
-            rows=rows,
-            stats=delta,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(delta),
-            plan=outcome.info,
-            warm=True,
-            epoch=view.epoch,
+            **accounting,
         )
 
     def execute_partial(
@@ -355,6 +252,48 @@ class Session:
             raise PlanningError(
                 "partial execution applies to aggregate queries only"
             )
+        state, view, accounting = self._measured(
+            "partial",
+            query,
+            {"mode": mode, "partial": True, "table": query.table},
+            mode=mode,
+            sma_set=sma_set,
+            cold=cold,
+        )
+        return PartialQueryResult(
+            columns=list(query.output_columns),
+            rows=[],
+            epoch=view.epoch,
+            state=state,
+            **accounting,
+        )
+
+    def _measured(
+        self,
+        kind: str,
+        statement,
+        attrs: dict,
+        *,
+        mode: str = "auto",
+        sma_set: str | None = None,
+        cold: bool = False,
+    ):
+        """The one measured window every execution path runs in.
+
+        *kind* is ``"read"``, ``"partial"``, ``"dml"`` or ``"explain"``.
+        Empties the caches first when *cold*, then resets sequential-run
+        tracking, snapshots the stats window (``pool.stats``) and starts
+        the clock.  Reads pin their table's ingest epoch right here —
+        admission: everything after reads one bucket-generation
+        snapshot.  Inside one ``execute`` span (attributes *attrs*) the
+        statement is planned under a ``plan`` span and, unless it is an
+        EXPLAIN, run under a ``run`` span.
+
+        Returns ``(output, view, accounting)``: *output* is the plan's
+        ``(columns, rows)``, the partial state, or for EXPLAIN the plan
+        itself; *view* the pinned snapshot (None unless a read);
+        *accounting* the window's :class:`QueryResult` keyword arguments.
+        """
         if cold:
             self.catalog.go_cold()
             if self.parallelism.use_processes:
@@ -368,39 +307,35 @@ class Session:
         started = time.perf_counter()
 
         tracer = self.tracer
-        view = self.catalog.pin_view(query.table)
-        with tracer.span(
-            "execute", attrs={"mode": mode, "partial": True, "table": query.table}
-        ) as exec_span:
+        pinned = kind == "read" or kind == "partial"
+        view = self.catalog.pin_view(statement.table) if pinned else None
+        with tracer.span("execute", attrs=attrs) as exec_span:
             with tracer.span("plan"):
-                plan = self._plan(query, mode=mode, sma_set=sma_set, table=view)
-            with tracer.span("run", attrs={"strategy": plan.info.strategy}):
-                state = plan.physical.run_state()
-            exec_span.annotate(strategy=plan.info.strategy)
+                if kind == "dml":
+                    planned = self.planner.plan_dml(statement)
+                else:
+                    planned = self.planner.plan(
+                        statement, mode=mode, sma_set=sma_set, table=view
+                    )
+            output = planned
+            if kind != "explain":
+                strategy = planned.info.strategy
+                with tracer.span("run", attrs={"strategy": strategy}):
+                    if kind == "partial":
+                        output = planned.physical.run_state()
+                    else:
+                        output = planned.run()
+                exec_span.annotate(strategy=strategy)
 
         wall = time.perf_counter() - started
         delta = window.snapshot() - before
-        return PartialQueryResult(
-            columns=list(query.output_columns),
-            rows=[],
-            stats=delta,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(delta),
-            plan=plan.info,
-            warm=not cold,
-            epoch=view.epoch,
-            state=state,
-        )
-
-    def _plan(
-        self,
-        query: AggregateQuery | ScanQuery,
-        *,
-        mode: str,
-        sma_set: str | None,
-        table=None,
-    ) -> Plan:
-        return self.planner.plan(query, mode=mode, sma_set=sma_set, table=table)
+        return output, view, {
+            "stats": delta,
+            "wall_seconds": wall,
+            "cost": self.disk_model.cost(delta),
+            "plan": planned.info,
+            "warm": not cold,
+        }
 
     def explain(
         self,
@@ -415,7 +350,7 @@ class Session:
         physical plan tree, per-alternative cost estimates, grading
         breakdown and the chosen-vs-rejected access paths.
         """
-        return self._plan(query, mode=mode, sma_set=sma_set).explanation
+        return self.planner.plan(query, mode=mode, sma_set=sma_set).explanation
 
     def _explain_result(
         self,
@@ -426,31 +361,17 @@ class Session:
         cold: bool,
     ) -> QueryResult:
         """Run ``EXPLAIN SELECT ...``: plan only, rows are the plan text."""
-        if cold:
-            self.catalog.go_cold()
-            if self.parallelism.use_processes:
-                from repro.query import procpool
-
-                procpool.go_cold(self.catalog.root_dir)
-        pool = self.catalog.pool
-        pool.reset_sequence_tracking()
-        window = pool.stats
-        before = window.snapshot()
-        started = time.perf_counter()
-        with self.tracer.span("execute", attrs={"mode": mode, "explain": True}):
-            with self.tracer.span("plan"):
-                plan = self._plan(statement.query, mode=mode, sma_set=sma_set)
-        wall = time.perf_counter() - started
-        delta = window.snapshot() - before
+        plan, _, accounting = self._measured(
+            "explain",
+            statement.query,
+            {"mode": mode, "explain": True},
+            mode=mode,
+            sma_set=sma_set,
+            cold=cold,
+        )
         lines = plan.explanation.render().splitlines()
         return QueryResult(
-            columns=["QUERY PLAN"],
-            rows=[(line,) for line in lines],
-            stats=delta,
-            wall_seconds=wall,
-            cost=self.disk_model.cost(delta),
-            plan=plan.info,
-            warm=not cold,
+            columns=["QUERY PLAN"], rows=[(line,) for line in lines], **accounting
         )
 
     # ------------------------------------------------------------------

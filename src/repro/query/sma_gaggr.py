@@ -162,18 +162,15 @@ class SmaGAggr:
                 start = chunk[-1] + 1
             if start < self.table.num_buckets:
                 tasks.append(range_task(start, self.table.num_buckets))
-            (state,) = dispatch_fold(
-                self.table, (spec,), tasks, self.parallelism, tracer,
-                "ambivalent_fetch",
+            return dispatch_fold(
+                self.table, spec, tasks, self.parallelism, tracer, "sma_range"
             )
-            return state
         with tracer.span(
-            "ambivalent_fetch",
+            "sma_range",
             stats=stats,
             attrs={"buckets": len(ambivalent), "mode": "serial"},
         ):
-            (state,) = range_task(0, self.table.num_buckets).run(self.table)
-        return state
+            return range_task(0, self.table.num_buckets).run(self.table)
 
     def execute(self) -> QueryRows:
         """Compute the full result (the operator's init phase).

@@ -113,7 +113,6 @@ class QueryService(ServingPipeline):
         slow_query_s: float | None = None,
         result_cache: bool = False,
         cache_entries: int = 256,
-        shared_scans: bool = False,
     ):
         super().__init__(
             workers=workers,
@@ -136,12 +135,6 @@ class QueryService(ServingPipeline):
         self.scan_workers = scan_workers
         self.morsel_buckets = morsel_buckets
         self.scan_backend = scan_backend
-        #: cooperative shared-scan dispatcher (None = disabled).
-        self.shared_scans = None
-        if shared_scans:
-            from repro.query.sharedscan import SharedScanDispatcher
-
-            self.shared_scans = SharedScanDispatcher()
         self.metrics.set_scan_info(
             backend=scan_backend, scan_workers=scan_workers
         )
@@ -175,23 +168,10 @@ class QueryService(ServingPipeline):
                 info.get("table", ""), info.get("sma_set", "")
             )
             # A quarantined SMA definition means the table's metadata is
-            # suspect: evict its cached results and poison every pending
-            # shared pass — detached consumers re-plan solo, where the
-            # quarantine fallback routes them to the heap.
+            # suspect: evict its cached results.
             table = info.get("table", "")
             if table:
                 self._evict_table(table, "sma_quarantined")
-                if self.shared_scans is not None:
-                    poisoned = self.shared_scans.poison(
-                        table, "sma_quarantined"
-                    )
-                    if poisoned and self.events is not None:
-                        self.events.emit(
-                            "shared_scan_poison",
-                            table=table,
-                            groups=poisoned,
-                            reason="sma_quarantined",
-                        )
         elif event == "sma_repaired":
             self.metrics.record_repair(
                 info.get("table", ""), info.get("sma_set", "")
@@ -210,8 +190,6 @@ class QueryService(ServingPipeline):
             from repro.query import procpool
 
             scan["pool"] = procpool.pool_gauges(self.catalog.root_dir)
-        if self.shared_scans is not None:
-            snapshot["shared_scan"] = self.shared_scans.snapshot()
         return snapshot
 
     # ------------------------------------------------------------------
@@ -329,11 +307,11 @@ class QueryService(ServingPipeline):
             if isinstance(query, str) and (
                 job.partial
                 or not job.is_dml
-                and (self.result_cache is not None or self.shared_scans is not None)
+                and self.result_cache is not None
             ):
-                # SQL reads parse up-front so the cache and the shared-
-                # scan dispatcher see the logical plan (this is also
-                # what makes fingerprints whitespace-insensitive).
+                # SQL reads parse up-front so the cache sees the logical
+                # plan (this is also what makes fingerprints
+                # whitespace-insensitive).
                 # EXPLAIN and anything else stays a string and takes the
                 # session.sql path below, uncached.
                 from repro.sql.parser import parse_statement
@@ -352,7 +330,7 @@ class QueryService(ServingPipeline):
             return session.execute(query, mode=job.mode, sma_set=job.sma_set)
 
     # ------------------------------------------------------------------
-    # the cached / shared read path
+    # the cached read path
     # ------------------------------------------------------------------
 
     def _cache_epochs(self, tables) -> dict[str, int]:
@@ -366,46 +344,8 @@ class QueryService(ServingPipeline):
         return {query.table: result.epoch}
 
     def _compute(self, ticket: QueryTicket, job: QueryJob, query) -> QueryResult:
-        """One actual execution: shared pass when possible, else solo."""
-        session = self._session()
-        if (
-            self.shared_scans is not None
-            and isinstance(query, AggregateQuery)
-            and job.mode == "auto"
-            and job.sma_set is None
-        ):
-            from repro.query.sharedscan import SharedScanDetached
-
-            try:
-                result = session.execute_shared(
-                    query,
-                    dispatcher=self.shared_scans,
-                    timeout_s=self._remaining_s(ticket),
-                )
-            except SharedScanDetached:
-                # Lost the pass (quarantine poison / leader failure):
-                # re-execute solo against the quarantine-aware planner.
-                if self.events is not None:
-                    self.events.emit(
-                        "shared_scan_detach",
-                        ticket=ticket.id,
-                        table=query.table,
-                        trace_id=job.trace_id,
-                    )
-            else:
-                if self.events is not None:
-                    strategy = result.plan.strategy
-                    self.events.emit(
-                        "shared_scan_attach"
-                        if strategy == "shared_scan(follow)"
-                        else "shared_scan_lead",
-                        ticket=ticket.id,
-                        table=query.table,
-                        strategy=strategy,
-                        trace_id=job.trace_id,
-                    )
-                return result
-        return session.execute(query, mode=job.mode, sma_set=job.sma_set)
+        """One actual execution on this worker's session."""
+        return self._session().execute(query, mode=job.mode, sma_set=job.sma_set)
 
     def _observe_completed(
         self, ticket: QueryTicket, job: QueryJob, result: QueryResult

@@ -320,8 +320,7 @@ def zipf_mix(
     shape the plan-fingerprint result cache is built for.  Each
     variant uses a different ``delta`` window, so the variants are
     genuinely distinct logical plans — the cache can only merge true
-    repeats, while shared scans may still coalesce different variants
-    hitting the table concurrently.
+    repeats.
 
     The returned entries all carry weight 1 and are *pre-interleaved*
     round-robin (rank 1 appears in every round, rank k in the rounds

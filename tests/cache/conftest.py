@@ -1,11 +1,10 @@
-"""Differential harness for the result cache and shared scans.
+"""Differential harness for the result cache.
 
-The suite's core demand mirrors the chaos suite's: caching and scan
-sharing are *transparent* optimizations, so every served result must be
-byte-identical to what an uncached, unshared execution of the same plan
-at the same ingest epoch would return.  Stale answers — a hit served
-across a DML boundary, a shared pass leaking another consumer's
-predicate — are the one outcome that must never happen.
+The suite's core demand mirrors the chaos suite's: caching is a
+*transparent* optimization, so every served result must be
+byte-identical to what an uncached execution of the same plan at the
+same ingest epoch would return.  Stale answers — a hit served across a
+DML boundary — are the one outcome that must never happen.
 
 Fixtures build tiny LINEITEM catalogs (a few thousand rows) so the
 whole suite stays in CI-smoke territory; the differential race test

@@ -1,19 +1,19 @@
 """Differential race: cached serving vs uncached replay under live DML.
 
 The archetype test of this suite.  A 16-client zipf-skewed read burst
-runs against a service with the result cache AND shared scans enabled
-while a paced writer pushes INSERT batches through the write queue.
+runs against a service with the result cache enabled while a paced
+writer pushes INSERT batches through the write queue.
 After every applied batch the writer captures the table's epoch pin, so
 each ingest epoch that existed during the run has a frozen
 bucket-generation snapshot.  Every kept result is then replayed against
 the pin of *its own* epoch through a hand-rolled grade-and-aggregate
-oracle (no cache, no dispatcher, no service) and must match
+oracle (no cache, no planner, no service) and must match
 byte-for-byte.
 
-A mismatch means a stale read — a hit served across a DML boundary or a
-shared pass that leaked state between consumers — and fails loudly with
-the full provenance.  Runs on both scan backends; round count scales
-via ``REPRO_CACHE_DIFF_ROUNDS`` (CI's cache-smoke job sets 20).
+A mismatch means a stale read — a hit served across a DML boundary —
+and fails loudly with the full provenance.  Runs on both scan backends;
+round count scales via ``REPRO_CACHE_DIFF_ROUNDS`` (CI's cache-smoke job
+sets 20).
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ BATCH_ROWS = 24
 def _oracle_replay(catalog, table_name, pin, query):
     """Grade-and-aggregate straight off the pinned snapshot.
 
-    Deliberately independent of Session, the planner, the cache and the
-    shared-scan dispatcher: buckets are read through the pinned view,
-    graded with the bound predicate, folded into one AggregationState.
+    Deliberately independent of Session, the planner and the cache:
+    buckets are read through the pinned view, graded with the bound
+    predicate, folded into one AggregationState.
     """
     view = TableView.from_pin(catalog.table(table_name), pin)
     predicate = normalize_predicate(query.where.bind(view.schema))
@@ -101,7 +101,6 @@ def test_cached_results_match_uncached_replay_under_dml(
         workers=CLIENTS + 1,
         queue_depth=max(32, 2 * CLIENTS + 2),
         result_cache=True,
-        shared_scans=True,
         scan_workers=2 if backend == "process" else 1,
         morsel_buckets=2,
         scan_backend=backend,
@@ -135,7 +134,6 @@ def test_cached_results_match_uncached_replay_under_dml(
             )
         )
         cache_snapshot = service.result_cache.snapshot()
-        shared_snapshot = service.shared_scans.snapshot()
     if backend == "process":
         from repro.query import procpool
 
@@ -185,4 +183,3 @@ def test_cached_results_match_uncached_replay_under_dml(
         "differential run never hit the cache — the race it guards "
         "against was not exercised"
     )
-    assert shared_snapshot["leads"] > 0

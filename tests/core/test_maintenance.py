@@ -103,6 +103,28 @@ class TestInsert:
             maintainer.insert(fresh_rows(137, day_offset=200 + step))
         assert_consistent(sales_table, sales_sma_set)
 
+    def test_topped_up_float_sums_match_a_fresh_fold_bit_for_bit(
+        self, maintainer, sales_table, sales_sma_set
+    ):
+        # Buckets filled by many small inserts: an entry advanced by each
+        # batch's partial sum rounds differently from the one-pass sum a
+        # heap fold of the bucket takes, and SMA_GAggr must equal GAggr.
+        from repro.core.maintenance import compute_bucket_entry
+
+        first = sales_table.num_buckets - 1
+        for step in range(80):
+            rows = fresh_rows(7, day_offset=200 + step, start_id=90_000 + 7 * step)
+            rows["qty"] = (np.arange(7) + 1) / 7 + step / 3
+            maintainer.insert(rows)
+        definition = sales_sma_set.definitions["sqty"]
+        files = sales_sma_set.files_of("sqty")
+        for bucket_no in range(first, sales_table.num_buckets):
+            records = sales_table.read_bucket(bucket_no)
+            expected = compute_bucket_entry(definition, records, sales_table.schema)
+            for key, (value, _) in expected.items():
+                got = files[key].value_at(bucket_no, charge=False)
+                assert got.hex() == value.hex(), (key, bucket_no)
+
 
 class TestUpdate:
     def test_update_recomputes_touched_buckets(

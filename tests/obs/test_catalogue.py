@@ -46,7 +46,6 @@ NOT_EXPORTED = {
     "io.tuples_built": "row-materialisation cost counter read by perf/, not an operator signal",
     "events.queued": "instantaneous queue length; written and dropped are the signal",
     "events.emitted": "sequence counter: written + dropped + queued",
-    "shared_scan.mean_fan_in": "derived: fan_in_total / consumers{role=lead}",
     "scan.pool.pools": "pool objects alive, an implementation detail of processes",
 }
 
@@ -82,7 +81,7 @@ def _populated_snapshots(sharded_root: str, scratch: pathlib.Path) -> list[dict]
     try:
         with Catalog.discover(db, buffer_pages=8192) as catalog, QueryService(
             catalog, workers=2, scan_backend="process", result_cache=True,
-            shared_scans=True, tracer=Tracer(), events=service_events,
+            tracer=Tracer(), events=service_events,
         ) as service:
             for entry in mix:
                 service.execute(entry.query, mode=entry.mode, sma_set=entry.sma_set)

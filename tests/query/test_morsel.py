@@ -149,16 +149,17 @@ class TestPickleRoundTrip:
 
     def test_fold_task(self, env):
         view, _ = env
-        task = FoldTask(list(range(view.num_buckets)), fold_specs(view))
-        shipped = pickle.loads(pickle.dumps(task))
-        for mine, theirs in zip(task.run(view), shipped.run(view), strict=True):
+        for spec in fold_specs(view):
+            task = FoldTask(list(range(view.num_buckets)), spec)
+            shipped = pickle.loads(pickle.dumps(task))
+            mine, theirs = task.run(view), shipped.run(view)
             assert state_bits(mine) == state_bits(theirs)
             assert mine.finalize() == theirs.finalize()
 
     def test_partial_state_survives_the_trip_back(self, env):
         view, _ = env
-        task = FoldTask(list(range(view.num_buckets)), fold_specs(view))
-        for state in task.run(view):
+        for spec in fold_specs(view):
+            state = FoldTask(list(range(view.num_buckets)), spec).run(view)
             returned = pickle.loads(pickle.dumps(state))
             assert state_bits(returned) == state_bits(state)
             assert returned.aggregates == state.aggregates
@@ -170,7 +171,7 @@ class TestPickleRoundTrip:
         task = sma_task(view, sma_set, 30, 3, view.num_buckets)
         assert task.qualifying.any() and task.ambivalent.any()
         shipped = pickle.loads(pickle.dumps(task))
-        (mine,), (theirs,) = task.run(view), shipped.run(view)
+        mine, theirs = task.run(view), shipped.run(view)
         assert state_bits(mine) == state_bits(theirs)
 
     def test_scan_task(self, env):
@@ -186,7 +187,7 @@ class TestPickleRoundTrip:
     def test_rows_past_the_pin_never_surface(self, env):
         view, _ = env
         spec = FoldSpec(shipped_by(10_000).bind(view.schema), (), SMA_AGGREGATES)
-        (state,) = FoldTask([view.num_buckets - 1], (spec,)).run(view)
+        state = FoldTask([view.num_buckets - 1], spec).run(view)
         ((total_qty, _, count),) = state.finalize()[1]
         assert count == int(view.bucket_counts()[-1])
         assert total_qty < 1e9
@@ -199,13 +200,10 @@ class TestContiguousSplitsMergeToSerial:
     @given(cuts=cut_points)
     def test_fold_equals_gaggr(self, env, cuts):
         view, _ = env
-        specs = fold_specs(view)
-        states = [spec.new_state(view.schema) for spec in specs]
-        for lo, hi in chunks(view.num_buckets, cuts):
-            partials = FoldTask(list(range(lo, hi)), specs).run(view)
-            for state, partial in zip(states, partials, strict=True):
-                state.merge(partial)
-        for spec, state in zip(specs, states):
+        for spec in fold_specs(view):
+            state = spec.new_state(view.schema)
+            for lo, hi in chunks(view.num_buckets, cuts):
+                state.merge(FoldTask(list(range(lo, hi)), spec).run(view))
             serial = GAggr(
                 Filter(SeqScan(view), spec.predicate), spec.group_by, spec.aggregates
             ).collect_state()
@@ -221,8 +219,7 @@ class TestContiguousSplitsMergeToSerial:
         ).collect_state()
         state = FoldSpec(None, GROUP_BY, SMA_AGGREGATES).new_state(view.schema)
         for lo, hi in chunks(view.num_buckets, cuts):
-            (partial,) = sma_task(view, sma_set, days, lo, hi).run(view)
-            state.merge(partial)
+            state.merge(sma_task(view, sma_set, days, lo, hi).run(view))
         assert state_bits(state) == state_bits(serial)
         # ...and the SMA answer is the heap answer, to the bit.
         heap = GAggr(

@@ -43,11 +43,9 @@ from repro.query import procpool
 from repro.query.parallel import ScanParallelism
 from repro.query.query import AggregateQuery, OutputAggregate, ScanQuery
 from repro.query.session import Session, assert_same_result
-from repro.query.sharedscan import SharedScanDispatcher
 from repro.server import QueryService
 from repro.server.metrics import MetricsRegistry
 from repro.storage import Catalog
-from repro.storage.stats import IoStats
 
 from tests.conftest import BASE_DATE, SALES_SCHEMA, sales_rows
 
@@ -131,38 +129,12 @@ def two_ended_query():
     )
 
 
-def shared_pass(catalog, sessions):
-    """One cooperative pass with ``len(sessions)`` consumers; results in
-    session order.  The gather window is wide enough for every thread to
-    enrol before the leader seals the group."""
-    dispatcher = SharedScanDispatcher(gather_window_s=0.3)
-    results = [None] * len(sessions)
-
-    def consume(index):
-        # As under the service: a private I/O window per consumer thread.
-        with catalog.pool.query_context(IoStats()):
-            results[index] = sessions[index].execute_shared(
-                agg_query(15 + 15 * index, minmax=True), dispatcher=dispatcher
-            )
-
-    threads = [
-        threading.Thread(target=consume, args=(i,)) for i in range(len(sessions))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert dispatcher.snapshot()["fan_in_max"] == len(sessions)
-    return results
-
-
-#: The four plans that dispatch morsel tasks: name -> run(session factory),
-#: returning the results to compare (a list: the shared pass has two).
+#: The three plans that dispatch morsel tasks: name -> run(session
+#: factory), returning the result to compare.
 PLAN_SHAPES = {
-    "gaggr": lambda cat, new: [new().execute(agg_query(45), mode="scan")],
-    "sma_gaggr": lambda cat, new: [new().execute(two_ended_query(), mode="sma")],
-    "scan": lambda cat, new: [new().execute(scan_query(days=40))],
-    "shared": lambda cat, new: shared_pass(cat, [new(), new()]),
+    "gaggr": lambda new: new().execute(agg_query(45), mode="scan"),
+    "sma_gaggr": lambda new: new().execute(two_ended_query(), mode="sma"),
+    "scan": lambda new: new().execute(scan_query(days=40)),
 }
 
 
@@ -241,12 +213,11 @@ class TestCrashFallback:
 
     def crash_and_recover(self, catalog, shape):
         run = PLAN_SHAPES[shape]
-        reference = run(catalog, lambda: Session(catalog))
+        reference = run(lambda: Session(catalog))
         on_processes = lambda: process_session(catalog)  # noqa: E731
 
         def check():
-            for result, expected in zip(run(catalog, on_processes), reference):
-                assert_same_result(result, expected)
+            assert_same_result(run(on_processes), reference)
 
         check()
         pool = procpool.get_pool(catalog.root_dir, catalog.pool.capacity_pages)
@@ -258,7 +229,7 @@ class TestCrashFallback:
 
         # The dead pool surfaces as ProcPoolBrokenError inside the
         # dispatcher, which re-runs the tasks on threads: same answer,
-        # one fallback however many tasks or consumers the plan had.
+        # one fallback however many tasks the plan had.
         check()
         assert procpool.pool_gauges()["fallbacks"] == before + 1
 
@@ -271,7 +242,7 @@ class TestCrashFallback:
     def test_worker_crash_falls_back_to_threads(self, proc_catalog):
         self.crash_and_recover(proc_catalog, "gaggr")
 
-    @pytest.mark.parametrize("shape", ["sma_gaggr", "scan", "shared"])
+    @pytest.mark.parametrize("shape", ["sma_gaggr", "scan"])
     def test_every_other_plan_shape_falls_back_too(self, proc_catalog, shape):
         self.crash_and_recover(proc_catalog, shape)
 
@@ -390,24 +361,16 @@ class TestTraceShape:
         for backend in ("thread", "process"):
             roots = []
             tracer = Tracer(on_trace=[roots.append], keep=16)
-            results = PLAN_SHAPES[shape](
-                proc_catalog,
+            result = PLAN_SHAPES[shape](
                 lambda: process_session(
                     proc_catalog, tracer=tracer, backend=backend
                 ),
             )
-            assert len(roots) == len(results)
-            total = collections.Counter()
-            for root in roots:
-                total.update(span.name for span in root.walk())
+            (root,) = roots
+            total = collections.Counter(span.name for span in root.walk())
             assert total["merge"] == (0 if shape == "scan" else 1)
             names[backend] = total
-            # Shared-pass roots finish in either order: match by I/O.
-            assert sorted(
-                (sorted(root.io_total().as_dict().items()) for root in roots)
-            ) == sorted(
-                (sorted(result.stats.as_dict().items()) for result in results)
-            )
+            assert root.io_total().as_dict() == result.stats.as_dict()
         assert names["process"].pop("process_dispatch") == 1
         assert names["process"] == names["thread"]
 

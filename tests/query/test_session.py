@@ -7,6 +7,7 @@ import pytest
 from repro.core.aggregates import count_star, total
 from repro.errors import PlanningError
 from repro.lang import cmp, col
+from repro.obs import Tracer
 from repro.query.query import AggregateQuery, OutputAggregate, ScanQuery
 from repro.query.session import Session
 
@@ -119,6 +120,28 @@ class TestExecution:
     def test_str_rendering(self, session):
         text = str(session.execute(simple_query()))
         assert "flag" in text and "rows" in text
+
+
+class TestMeasuredWindow:
+    """Every execution path shares one window: root ``execute`` span with
+    ``plan`` then ``run`` children, stats equal to the pool-window delta."""
+
+    @pytest.mark.parametrize("path", [
+        lambda session: session.execute(simple_query()),
+        lambda session: session.execute_partial(simple_query()),
+        lambda session: session.sql("DELETE FROM SALES WHERE qty = 3"),
+    ], ids=["read", "partial", "dml"])
+    def test_spans_and_stats_delta(self, catalog, sales_table, sales_sma_set, path):
+        roots = []
+        session = Session(catalog, tracer=Tracer(on_trace=[roots.append]))
+        before = catalog.pool.stats.snapshot()
+        result = path(session)
+        delta = catalog.pool.stats.snapshot() - before
+        (root,) = roots
+        assert root.name == "execute"
+        assert [span.name for span in root.sorted_children()] == ["plan", "run"]
+        assert result.stats.as_dict() == delta.as_dict()
+        assert result.cost == session.disk_model.cost(delta)
 
 
 class TestSqlEntryPoints:
