@@ -169,10 +169,6 @@ class DataCube:
     # ------------------------------------------------------------------
 
     @property
-    def populated_cells(self) -> int:
-        return len(self._cells)
-
-    @property
     def allocated_cells(self) -> int:
         """Complete-cube cell count: the product of the cardinalities."""
         return cube_cells([max(len(v), 1) for v in self._dimension_values])

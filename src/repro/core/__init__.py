@@ -22,7 +22,7 @@ from repro.core.grade import (
 )
 from repro.core.grouping import GroupKey, bucket_groups, group_key_label
 from repro.core.hierarchy import HierarchicalMinMax
-from repro.core.maintenance import SmaMaintainer, compute_bucket_entry
+from repro.core.maintenance import SmaMaintainer
 from repro.core.partition import BucketPartitioning, Grade
 from repro.core.semijoin import (
     SemiJoinBounds,
@@ -47,7 +47,6 @@ __all__ = [
     "SmaMaintainer",
     "SmaSet",
     "collect_bounds",
-    "compute_bucket_entry",
     "reduction_predicate",
     "semijoin",
     "average",

@@ -6,8 +6,10 @@ tuples."  (Section 2.1)
 
 The builder makes one sequential pass over the heap file, computes every
 definition's per-bucket (per-group) aggregate, and materializes one
-:class:`~repro.core.sma_file.SmaFile` per (definition, group).  Two
-modes exist:
+:class:`~repro.core.sma_file.SmaFile` per (definition, group).  Its
+per-bucket kernel, :func:`accumulate`, is the only code that computes an
+SMA entry: ``repro verify`` and DML maintenance call it too.  Two modes
+exist:
 
 * ``separate_scans=False`` (default): one shared pass builds all
   definitions — what a production system would do;
@@ -46,34 +48,60 @@ class SmaBuildReport:
     shared_scan: bool = False
 
 
+def absent_entries(
+    kind: AggregateKind, dtype: np.dtype, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """*count* ``(values, valid)`` entries of a group with no tuple there.
+
+    COUNT and SUM files carry no validity vector and read 0 for an
+    absent group: 0 *is* the count of nothing, and the additive identity
+    the aggregation phases rely on.  A MIN/MAX entry is undefined.
+    """
+    valid = np.full(count, kind in (AggregateKind.COUNT, AggregateKind.SUM))
+    return np.zeros(count, dtype=dtype), valid
+
+
 @dataclass
-class _Accumulator:
-    """Per-definition builder state: one value/valid array pair per group."""
+class Accumulator:
+    """One definition's entries for a run of *count* buckets: a
+    value/valid array pair per group."""
 
     definition: SmaDefinition
     value_dtype: np.dtype
-    num_buckets: int
+    count: int
     groups: dict[GroupKey, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def arrays_for(self, key: GroupKey) -> tuple[np.ndarray, np.ndarray]:
         arrays = self.groups.get(key)
         if arrays is None:
-            values = np.zeros(self.num_buckets, dtype=self.value_dtype)
-            valid = np.zeros(self.num_buckets, dtype=bool)
-            arrays = (values, valid)
+            arrays = absent_entries(
+                self.definition.aggregate.kind, self.value_dtype, self.count
+            )
             self.groups[key] = arrays
         return arrays
 
+    def file_groups(self) -> dict[GroupKey, tuple[np.ndarray, np.ndarray]]:
+        """The groups a build writes a file for: an empty table still
+        gets the ``()`` group."""
+        return self.groups or {(): self.arrays_for(())}
 
-def _accumulate(
+
+def accumulate(
     table: Table,
     definitions: list[SmaDefinition],
-) -> dict[str, _Accumulator]:
-    """One sequential pass over *table* filling every accumulator."""
+    buckets: range | None = None,
+) -> dict[str, Accumulator]:
+    """Every definition's entries for *buckets* (default: all of them).
+
+    The one place an SMA entry is computed: the bulkload and ``repro
+    verify`` pass the whole table, DML maintenance the buckets it
+    touched, so a maintained entry is a fresh build's entry by
+    construction.
+    """
     schema = table.schema
-    num_buckets = table.num_buckets
+    span = range(table.num_buckets) if buckets is None else buckets
     accumulators = {
-        d.name: _Accumulator(d, d.aggregate.value_dtype(schema), num_buckets)
+        d.name: Accumulator(d, d.aggregate.value_dtype(schema), len(span))
         for d in definitions
     }
     by_grouping: dict[tuple[str, ...], list[SmaDefinition]] = {}
@@ -81,7 +109,8 @@ def _accumulate(
         by_grouping.setdefault(definition.group_by, []).append(definition)
 
     stats = table.heap.pool.stats
-    for bucket_no, records in table.iter_buckets():
+    for position, bucket_no in enumerate(span):
+        records = table.read_bucket(bucket_no)
         stats.tuples_built += len(records)
         for group_by, group_defs in by_grouping.items():
             keys, inverse = bucket_groups(records, group_by, schema)
@@ -106,42 +135,76 @@ def _accumulate(
                         group_size = int(mask.sum())
                     values, valid = acc.arrays_for(key)
                     if spec.kind is AggregateKind.COUNT:
-                        values[bucket_no] = group_size
-                        valid[bucket_no] = True
+                        values[position] = group_size
+                        valid[position] = True
                     elif group_size:
                         assert group_values is not None
-                        values[bucket_no] = spec.compute(group_values)
-                        valid[bucket_no] = True
+                        values[position] = spec.compute(group_values)
+                        valid[position] = True
     return accumulators
 
 
-def _materialize(
+def changed_entries(
+    sma: SmaFile, first: int, values: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """Offsets into *values* whose entry *sma* stores differently.
+
+    Compares the entries *sma* holds from index *first* on: validity
+    everywhere, value bytes where valid.  A stale value behind an
+    invalid flag counts as equal.
+    """
+    stored = sma.values(charge=False)[first : first + len(values)]
+    held = len(stored)
+    mask = sma.valid_mask()
+    if mask is None:
+        stored_valid = np.ones(held, dtype=bool)
+    else:
+        stored_valid = mask[first : first + held]
+    fresh, fresh_valid = values[:held], valid[:held]
+    if stored.dtype != fresh.dtype:
+        return np.arange(held)
+    width = fresh.dtype.itemsize
+    same = (
+        stored.view(np.uint8).reshape(held, width)
+        == fresh.view(np.uint8).reshape(held, width)
+    ).all(axis=1)
+    return np.flatnonzero((stored_valid != fresh_valid) | (fresh_valid & ~same))
+
+
+def build_group_file(
     sma_set: SmaSet,
-    accumulator: _Accumulator,
+    definition: SmaDefinition,
+    key: GroupKey,
+    values: np.ndarray,
+    valid: np.ndarray,
     page_size: int,
+) -> SmaFile:
+    """Write one group's entries to a new SMA-file.
+
+    The validity vector is kept only when some entry is undefined, so
+    COUNT/SUM files never carry one and file sizes match the paper's
+    accounting.
+    """
+    return SmaFile.build(
+        sma_set.file_path(definition.name, key),
+        values,
+        sma_set.table.heap.pool,
+        valid=None if valid.all() else valid,
+        page_size=page_size,
+    )
+
+
+def materialize(
+    sma_set: SmaSet, accumulator: Accumulator, page_size: int
 ) -> dict[GroupKey, SmaFile]:
     """Write one definition's accumulated arrays to SMA-files."""
-    definition = accumulator.definition
-    pool = sma_set.table.heap.pool
-    files: dict[GroupKey, SmaFile] = {}
-    groups = accumulator.groups or {(): accumulator.arrays_for(())}
-    for key in sorted(groups, key=repr):
-        values, valid = groups[key]
-        # Count and sum SMAs default missing groups to 0 — for counts
-        # that *means* absent, for sums 0 is the additive identity the
-        # aggregation phases rely on, so neither needs a validity
-        # vector (and file sizes match the paper's accounting).  Min/max
-        # keep one only when some entry is genuinely undefined.
-        keep_valid: np.ndarray | None = None
-        if definition.aggregate.kind in (AggregateKind.COUNT, AggregateKind.SUM):
-            keep_valid = None
-        elif not valid.all():
-            keep_valid = valid
-        path = sma_set.file_path(definition.name, key)
-        files[key] = SmaFile.build(
-            path, values, pool, valid=keep_valid, page_size=page_size
+    groups = accumulator.file_groups()
+    return {
+        key: build_group_file(
+            sma_set, accumulator.definition, key, *groups[key], page_size
         )
-    return files
+        for key in sorted(groups, key=repr)
+    }
 
 
 def build_sma_set(
@@ -180,8 +243,8 @@ def build_sma_set(
         for definition in definitions:
             before = stats.snapshot()
             started = time.perf_counter()
-            accumulators = _accumulate(table, [definition])
-            files = _materialize(sma_set, accumulators[definition.name], page_size)
+            accumulators = accumulate(table, [definition])
+            files = materialize(sma_set, accumulators[definition.name], page_size)
             elapsed = time.perf_counter() - started
             sma_set.add_materialized(definition, files)
             reports.append(
@@ -197,13 +260,13 @@ def build_sma_set(
     else:
         before = stats.snapshot()
         started = time.perf_counter()
-        accumulators = _accumulate(table, definitions)
+        accumulators = accumulate(table, definitions)
         scan_elapsed = time.perf_counter() - started
         scan_stats = stats.snapshot() - before
         for definition in definitions:
             before = stats.snapshot()
             started = time.perf_counter()
-            files = _materialize(sma_set, accumulators[definition.name], page_size)
+            files = materialize(sma_set, accumulators[definition.name], page_size)
             elapsed = time.perf_counter() - started
             sma_set.add_materialized(definition, files)
             # Attribute a proportional share of the shared scan to each

@@ -26,7 +26,7 @@ from repro.core.grade import partition_column_const
 from repro.core.partition import BucketPartitioning
 from repro.core.sma_file import SmaFile
 from repro.errors import SmaStateError
-from repro.lang.predicate import CmpOp, ColumnConstCmp
+from repro.lang.predicate import ColumnConstCmp
 from repro.storage.buffer import BufferPool
 
 
@@ -257,8 +257,3 @@ def _combine_valid(
     if second is None:
         return first
     return first & second
-
-
-def cmp_op(op: str) -> CmpOp:
-    """Tiny helper so experiments can pass operator strings."""
-    return CmpOp(op)

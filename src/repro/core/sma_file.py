@@ -411,10 +411,15 @@ class SmaFile:
         self._values[index] = value
         if self._valid is not None:
             self._valid[index] = valid
-        elif not valid:
+            self._rewrite_entry_on_disk(index)
+        elif valid:
+            self._rewrite_entry_on_disk(index)
+        else:
+            # The first undefined entry adds a validity vector after the
+            # values: the whole vector must reach the disk, not one byte.
             self._valid = np.ones(self.num_entries, dtype=bool)
             self._valid[index] = False
-        self._rewrite_entry_on_disk(index)
+            self._write_all()
         self._save_meta()
 
     def append_entries(

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.aggregates import AggregateKind
-from repro.core.builder import _accumulate, _materialize
+from repro.core.builder import (
+    absent_entries,
+    accumulate,
+    changed_entries,
+    materialize,
+)
 from repro.errors import ChecksumError
 from repro.storage.catalog import Catalog
 
@@ -189,32 +191,11 @@ def _verify_heap(catalog: Catalog, report: VerifyReport, events) -> None:
                 _emit(events, issue)
 
 
-def _expected_groups(accumulator) -> dict:
-    """Mirror ``_materialize``: an empty table still gets the () group."""
-    return accumulator.groups or {(): accumulator.arrays_for(())}
-
-
-def _group_is_trivial(kind: AggregateKind, sma) -> bool:
-    """A group file a fresh build would not create, holding no data.
-
-    The maintainer can leave behind a group whose entries were all
-    withdrawn: count/sum files of zeros, or min/max files with every
-    entry invalid.  Those are harmless — they contribute nothing to any
-    query — so verification tolerates them.
-    """
-    values = sma.values(charge=False)
-    if kind in (AggregateKind.COUNT, AggregateKind.SUM):
-        return not np.any(values)
-    mask = sma.valid_mask()
-    return mask is not None and not mask.any()
-
-
 def _compare_definition(
     table, definition, files, accumulator
 ) -> str | None:
     """Why *files* differ from a fresh recompute, or None when they agree."""
-    expected = _expected_groups(accumulator)
-    kind = definition.aggregate.kind
+    expected = accumulator.file_groups()
     num_buckets = table.num_buckets
     for key, sma in files.items():
         if sma.num_entries != num_buckets:
@@ -222,31 +203,26 @@ def _compare_definition(
                 f"group {key!r} has {sma.num_entries} entries, "
                 f"table has {num_buckets} buckets"
             )
-        if key not in expected:
-            if _group_is_trivial(kind, sma):
-                continue
+        if key in expected:
+            continue
+        # The maintainer can leave behind a group whose entries were all
+        # withdrawn.  It contributes nothing to any query, so a file a
+        # fresh build would not create is fine while it reads as absent.
+        absent = absent_entries(
+            definition.aggregate.kind, accumulator.value_dtype, num_buckets
+        )
+        if changed_entries(sma, 0, *absent).size:
             return f"group {key!r} holds data but no heap tuple produces it"
     for key, (exp_values, exp_valid) in expected.items():
         sma = files.get(key)
         if sma is None:
             return f"group {key!r} is missing"
-        values = sma.values(charge=False)
-        mask = sma.valid_mask()
-        actual_valid = (
-            np.ones(sma.num_entries, dtype=bool) if mask is None else mask
-        )
-        if kind in (AggregateKind.COUNT, AggregateKind.SUM):
-            # The builder drops validity for count/sum (0 is absent /
-            # the additive identity), so only values matter.
-            if not np.array_equal(values, exp_values):
-                return f"group {key!r} values differ from recompute"
-        else:
-            if not np.array_equal(actual_valid, exp_valid):
-                return f"group {key!r} validity differs from recompute"
-            if not np.array_equal(
-                values[exp_valid], exp_values[exp_valid]
-            ):
-                return f"group {key!r} values differ from recompute"
+        changed = changed_entries(sma, 0, exp_values, exp_valid)
+        if changed.size:
+            return (
+                f"group {key!r} differs from recompute in {changed.size} "
+                f"entries (first: bucket {changed[0]})"
+            )
     return None
 
 
@@ -261,7 +237,7 @@ def _verify_sma_sets(
             definitions = list(sma_set.definitions.values())
             if not definitions:
                 continue
-            accumulators = _accumulate(table, definitions)
+            accumulators = accumulate(table, definitions)
             to_rebuild: list[str] = []
             for definition in definitions:
                 report.definitions_checked += 1
@@ -319,8 +295,8 @@ def _rebuild(
         )
         for sma in old_files.values():
             sma.delete_files()
-        accumulator = _accumulate(table, [definition])[name]
-        files = _materialize(sma_set, accumulator, page_size)
+        accumulator = accumulate(table, [definition])[name]
+        files = materialize(sma_set, accumulator, page_size)
         sma_set.replace_files(name, files)
         detail = _compare_definition(table, definition, files, accumulator)
         if detail is not None:  # pragma: no cover - rebuild must verify

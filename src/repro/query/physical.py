@@ -98,10 +98,6 @@ class PhysicalPlan:
     def run(self) -> QueryRows:
         return self.runner()
 
-    @property
-    def supports_partial(self) -> bool:
-        return self.state_runner is not None
-
     def run_state(self):
         """Run to an un-finalized aggregation state (shard workers)."""
         if self.state_runner is None:

@@ -647,26 +647,6 @@ class Planner:
         )
         return Plan(info=info, physical=physical, explanation=explanation)
 
-    def plan_aggregate(
-        self,
-        query: AggregateQuery,
-        *,
-        mode: str = "auto",
-        sma_set: str | SmaSet | None = None,
-    ) -> Plan:
-        """Build a plan for an aggregation query (see :meth:`plan`)."""
-        return self.plan(query, mode=mode, sma_set=sma_set)
-
-    def plan_scan(
-        self,
-        query: ScanQuery,
-        *,
-        mode: str = "auto",
-        sma_set: str | SmaSet | None = None,
-    ) -> Plan:
-        """Build a plan for a tuple-returning selection (see :meth:`plan`)."""
-        return self.plan(query, mode=mode, sma_set=sma_set)
-
     # ------------------------------------------------------------------
     # choosing and finishing
     # ------------------------------------------------------------------

@@ -95,11 +95,6 @@ class ScanQuery:
         for column in self.columns:
             schema.column(column)
 
-    def output_schema(self, schema: Schema) -> Schema:
-        if not self.columns:
-            return schema
-        return schema.project(self.columns)
-
 
 @dataclass(frozen=True)
 class ExplainQuery:

@@ -406,11 +406,6 @@ class MetricsRegistry:
     # reading
     # ------------------------------------------------------------------
 
-    def io_totals(self) -> IoStats:
-        """Summed per-query I/O deltas of every completed query."""
-        with self._lock:
-            return self._io.snapshot()
-
     def snapshot(self) -> dict:
         """Plain-dict view of everything recorded so far.
 

@@ -354,18 +354,6 @@ class ShardRouter(ServingPipeline):
         snapshot["shard"] = self.scoreboard.snapshot()
         return snapshot
 
-    def shard_metrics(self) -> dict[int, dict]:
-        """Each live shard's own service snapshot (best-effort)."""
-        out: dict[int, dict] = {}
-        for client in self.clients:
-            try:
-                out[client.shard_id] = client.request({"op": "metrics"})[
-                    "metrics"
-                ]
-            except ReproError:
-                continue
-        return out
-
     # ------------------------------------------------------------------
     # the scatter-gather execution backend
     # ------------------------------------------------------------------

@@ -398,12 +398,6 @@ class HeapFile:
         end = start + count * self.layout.record_width
         return np.frombuffer(payload[start:end], dtype=self.schema.record_dtype)
 
-    def _read_page(self, page_no: int) -> np.ndarray:
-        payload = self.pool.read_page(
-            self.file_id, page_no, lambda: self._load_page(page_no)
-        )
-        return self._decode_page(payload)
-
     def drop_decode_cache(self) -> None:
         """Forget decoded buckets (go-cold / after bulk rewrites)."""
         self._decode_cache.clear()

@@ -5,7 +5,8 @@ import datetime
 import numpy as np
 import pytest
 
-from repro.core import SmaMaintainer
+from repro.core import AggregateKind, SmaFile, SmaMaintainer
+from repro.core.builder import accumulate
 from repro.errors import SmaStateError
 from repro.lang import cmp
 
@@ -31,33 +32,43 @@ def fresh_rows(n, *, day_offset=200, flag="A", qty=3.0, start_id=90_000):
     )
 
 
-def assert_consistent(table, sma_set):
-    """Every SMA entry equals a recomputation from the base data."""
-    from repro.core.maintenance import compute_bucket_entry
+def sma_entries(sma_set):
+    """``(values, valid)`` of every SMA-file as re-read from disk, keyed
+    by (name, group)."""
+    entries = {}
+    for name in sma_set.definitions:
+        for key, sma in sma_set.files_of(name).items():
+            sma = SmaFile.open(sma.path, sma.pool)
+            assert not sma.is_corrupt, sma.corrupt_reason
+            values = sma.values(charge=False).copy()
+            mask = sma.valid_mask()
+            valid = np.ones(len(values), dtype=bool) if mask is None else mask.copy()
+            entries[name, key] = (values, valid)
+    return entries
 
+
+def assert_consistent(table, sma_set):
+    """Every SMA-file equals the kernel's fresh arrays for the whole heap:
+    validity equal everywhere, value bytes equal where valid."""
+    fresh = accumulate(table, list(sma_set.definitions.values()))
+    stored = sma_entries(sma_set)
     for definition in sma_set.definitions.values():
         files = sma_set.files_of(definition.name)
+        accumulator = fresh[definition.name]
         for sma in files.values():
             assert sma.num_entries == table.num_buckets
-        for bucket_no in range(table.num_buckets):
-            records = table.read_bucket(bucket_no)
-            expected = compute_bucket_entry(definition, records, table.schema)
-            for key, sma in files.items():
-                valid = sma.valid_mask()
-                defined = valid is None or bool(valid[bucket_no])
-                if key in expected:
-                    value, _ = expected[key]
-                    assert defined, (definition.name, key, bucket_no)
-                    got = sma.value_at(bucket_no, charge=False)
-                    assert got == pytest.approx(value), (
-                        definition.name, key, bucket_no,
-                    )
-                else:
-                    # Group absent from this bucket: count/sum must read
-                    # as zero, min/max must be undefined.
-                    if sma.values(charge=False).dtype.kind in "if":
-                        if defined:
-                            assert sma.value_at(bucket_no, charge=False) == 0
+        if definition.aggregate.kind in (AggregateKind.COUNT, AggregateKind.SUM):
+            # Group absent from a bucket: count/sum read as zero, and
+            # their files carry no validity vector.
+            assert all(sma.valid_mask() is None for sma in files.values())
+        for key in set(files) | set(accumulator.groups):
+            assert key in files, (definition.name, key)
+            values, valid = stored[definition.name, key]
+            expected, expected_valid = accumulator.arrays_for(key)
+            assert np.array_equal(valid, expected_valid), (definition.name, key)
+            assert values[valid].tobytes() == expected[valid].tobytes(), (
+                definition.name, key,
+            )
 
 
 class TestInsert:
@@ -109,21 +120,46 @@ class TestInsert:
         # Buckets filled by many small inserts: an entry advanced by each
         # batch's partial sum rounds differently from the one-pass sum a
         # heap fold of the bucket takes, and SMA_GAggr must equal GAggr.
-        from repro.core.maintenance import compute_bucket_entry
-
         first = sales_table.num_buckets - 1
         for step in range(80):
             rows = fresh_rows(7, day_offset=200 + step, start_id=90_000 + 7 * step)
             rows["qty"] = (np.arange(7) + 1) / 7 + step / 3
             maintainer.insert(rows)
-        definition = sales_sma_set.definitions["sqty"]
         files = sales_sma_set.files_of("sqty")
         for bucket_no in range(first, sales_table.num_buckets):
             records = sales_table.read_bucket(bucket_no)
-            expected = compute_bucket_entry(definition, records, sales_table.schema)
-            for key, (value, _) in expected.items():
-                got = files[key].value_at(bucket_no, charge=False)
+            for key, sma in files.items():
+                mine = records["qty"][records["flag"] == key[0].encode()]
+                value = float(mine.sum(dtype=np.float64))
+                got = sma.value_at(bucket_no, charge=False)
                 assert got.hex() == value.hex(), (key, bucket_no)
+
+    def test_top_up_rewrites_only_the_entries_it_changes(
+        self, catalog, maintainer, sales_table, sales_sma_set
+    ):
+        # Section 2.1's "at most one additional page access": topping up a
+        # bucket that already holds every group rewrites the heap pages
+        # and the entries whose bytes moved -- never an unchanged entry.
+        trailing = sales_table.num_buckets - 1
+        records = sales_table.read_bucket(trailing)
+        assert set(records["flag"].tolist()) == {b"A", b"R"}
+        assert len(records) + 2 <= sales_table.layout.tuples_per_bucket
+        before = sma_entries(sales_sma_set)
+        catalog.reset_stats()
+        maintainer.insert(fresh_rows(2))
+        writes = catalog.stats.page_writes
+        after = sma_entries(sales_sma_set)
+        assert sales_table.num_buckets == trailing + 1
+        assert after.keys() == before.keys()
+        changed = 0
+        for file, (values, valid) in after.items():
+            old_values, old_valid = before[file]
+            for i in range(len(values)):
+                moved = values[i : i + 1].tobytes() != old_values[i : i + 1].tobytes()
+                changed += bool(valid[i] != old_valid[i] or valid[i] and moved)
+        assert 0 < changed < len(after)
+        assert writes <= sales_table.layout.pages_per_bucket + changed
+        assert_consistent(sales_table, sales_sma_set)
 
 
 class TestUpdate:

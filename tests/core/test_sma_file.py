@@ -152,6 +152,13 @@ class TestMaintenanceWrites:
         valid = sma.valid_mask()
         assert valid is not None and not valid[2] and valid[3]
 
+    def test_first_invalid_entry_reopens_clean(self, tmp_path, pool):
+        sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
+        sma.set_entry(2, 0, valid=False)
+        reopened = SmaFile.open(sma.path, pool)
+        assert not reopened.is_corrupt
+        np.testing.assert_array_equal(reopened.valid_mask(), sma.valid_mask())
+
     def test_set_entry_out_of_range(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(4, dtype="<i4"))
         with pytest.raises(SmaStateError):

@@ -83,7 +83,7 @@ def big_sales(catalog, tmp_path):
 
 class TestAggregatePlanning:
     def test_auto_picks_sma_on_clustered_data(self, catalog, big_sales):
-        plan = Planner(catalog).plan_aggregate(query())
+        plan = Planner(catalog).plan(query())
         assert plan.info.strategy == "sma_gaggr"
         assert plan.info.est_sma_seconds < plan.info.est_scan_seconds
 
@@ -93,12 +93,12 @@ class TestAggregatePlanning:
         # On a 9-bucket table the per-SMA-file positioning seeks exceed
         # the whole scan: the cost-based planner must notice and fall
         # back — the paper's "bad decision" safety valve in reverse.
-        plan = Planner(catalog).plan_aggregate(query())
+        plan = Planner(catalog).plan(query())
         assert plan.info.strategy == "gaggr"
         assert plan.info.est_scan_seconds < plan.info.est_sma_seconds
 
     def test_forced_scan(self, catalog, sales_table, sales_sma_set):
-        plan = Planner(catalog).plan_aggregate(query(), mode="scan")
+        plan = Planner(catalog).plan(query(), mode="scan")
         assert plan.info.strategy == "gaggr"
 
     def test_forced_sma_without_coverage_raises(
@@ -108,7 +108,7 @@ class TestAggregatePlanning:
             aggregates=(OutputAggregate("m", maximum(col("qty"))),)
         )
         with pytest.raises(PlanningError):
-            Planner(catalog).plan_aggregate(uncovered, mode="sma")
+            Planner(catalog).plan(uncovered, mode="sma")
 
     def test_uncovered_falls_back_to_scan(
         self, catalog, sales_table, sales_sma_set
@@ -116,7 +116,7 @@ class TestAggregatePlanning:
         uncovered = query(
             aggregates=(OutputAggregate("m", maximum(col("qty"))),)
         )
-        plan = Planner(catalog).plan_aggregate(uncovered)
+        plan = Planner(catalog).plan(uncovered)
         assert plan.info.strategy == "gaggr"
         assert "no covering" in plan.info.reason
 
@@ -124,21 +124,21 @@ class TestAggregatePlanning:
         covered = query(
             aggregates=(OutputAggregate("a", average(col("qty"))),)
         )
-        plan = Planner(catalog).plan_aggregate(covered)
+        plan = Planner(catalog).plan(covered)
         assert plan.info.strategy == "sma_gaggr"
 
     def test_plans_execute_identically(self, catalog, sales_table, sales_sma_set):
         from tests.conftest import assert_rows_equal
 
         planner = Planner(catalog)
-        _, sma_rows = planner.plan_aggregate(query(), mode="sma").run()[0], \
-            planner.plan_aggregate(query(), mode="sma").run()[1]
-        _, scan_rows = planner.plan_aggregate(query(), mode="scan").run()
+        _, sma_rows = planner.plan(query(), mode="sma").run()[0], \
+            planner.plan(query(), mode="sma").run()[1]
+        _, scan_rows = planner.plan(query(), mode="scan").run()
         assert_rows_equal(sorted(sma_rows, key=repr), sorted(scan_rows, key=repr))
 
     def test_invalid_mode_rejected(self, catalog, sales_table, sales_sma_set):
         with pytest.raises(PlanningError):
-            Planner(catalog).plan_aggregate(query(), mode="bogus")
+            Planner(catalog).plan(query(), mode="bogus")
 
     def test_unknown_order_by_rejected(self, catalog, sales_table, sales_sma_set):
         with pytest.raises(PlanningError):
@@ -150,7 +150,7 @@ class TestAggregatePlanning:
             ).validate(sales_table.schema)
 
     def test_estimates_reported(self, catalog, sales_table, sales_sma_set):
-        info = Planner(catalog).plan_aggregate(query()).info
+        info = Planner(catalog).plan(query()).info
         assert info.fraction_ambivalent is not None
         assert info.est_scan_seconds == pytest.approx(
             PAPER_DISK.scan_seconds(
@@ -218,18 +218,18 @@ class TestCheapestCoveringSet:
     not the first registered one (the old ``covering[0]`` behavior)."""
 
     def test_auto_picks_cheapest_not_first(self, catalog, competing_sets):
-        plan = Planner(catalog).plan_aggregate(query())
+        plan = Planner(catalog).plan(query())
         assert plan.info.strategy == "sma_gaggr"
         assert plan.info.sma_set_name == "lean"
         assert "cheapest of 2" in plan.info.reason
 
     def test_forced_sma_also_picks_cheapest(self, catalog, competing_sets):
-        plan = Planner(catalog).plan_aggregate(query(), mode="sma")
+        plan = Planner(catalog).plan(query(), mode="sma")
         assert plan.info.sma_set_name == "lean"
         assert "cheapest covering set" in plan.info.reason
 
     def test_both_sets_costed_in_alternatives(self, catalog, competing_sets):
-        explanation = Planner(catalog).plan_aggregate(query()).explanation
+        explanation = Planner(catalog).plan(query()).explanation
         by_set = {
             path.sma_set_name: path
             for path in explanation.alternatives
@@ -242,7 +242,7 @@ class TestCheapestCoveringSet:
     def test_explicit_set_restriction_still_honored(
         self, catalog, competing_sets
     ):
-        plan = Planner(catalog).plan_aggregate(query(), sma_set="fat")
+        plan = Planner(catalog).plan(query(), sma_set="fat")
         assert plan.info.sma_set_name == "fat"
 
 
@@ -251,14 +251,14 @@ class TestScanPlanning:
         self, catalog, sales_table, sales_sma_set
     ):
         scan_query = ScanQuery("SALES", where=cmp("ship", "<=", mid(2)))
-        plan = Planner(catalog).plan_scan(scan_query)
+        plan = Planner(catalog).plan(scan_query)
         assert plan.info.strategy == "sma_scan"
 
     def test_auto_picks_seq_scan_for_unselective_predicate(
         self, catalog, sales_table, sales_sma_set
     ):
         scan_query = ScanQuery("SALES", where=cmp("ship", "<=", mid(10_000)))
-        plan = Planner(catalog).plan_scan(scan_query)
+        plan = Planner(catalog).plan(scan_query)
         # Everything qualifies: fetching all buckets via SMA costs the
         # scan plus the SMA read — scan wins.
         assert plan.info.strategy == "seq_scan"
@@ -267,14 +267,14 @@ class TestScanPlanning:
         self, catalog, sales_table, sales_sma_set
     ):
         scan_query = ScanQuery("SALES", where=cmp("id", "<", 50))
-        plan = Planner(catalog).plan_scan(scan_query)
+        plan = Planner(catalog).plan(scan_query)
         assert plan.info.strategy == "seq_scan"
 
     def test_forced_sma_scan_runs(self, catalog, sales_table, sales_sma_set):
         scan_query = ScanQuery(
             "SALES", where=cmp("ship", "<=", mid(2)), columns=("id",)
         )
-        columns, rows = Planner(catalog).plan_scan(scan_query, mode="sma").run()
+        columns, rows = Planner(catalog).plan(scan_query, mode="sma").run()
         assert columns == ["id"]
         everything = sales_table.read_all()
         from repro.storage.types import date_to_int
@@ -285,4 +285,4 @@ class TestScanPlanning:
     def test_forced_sma_scan_without_smas_raises(self, catalog, sales_table):
         scan_query = ScanQuery("SALES", where=cmp("ship", "<=", mid(2)))
         with pytest.raises(PlanningError):
-            Planner(catalog).plan_scan(scan_query, mode="sma")
+            Planner(catalog).plan(scan_query, mode="sma")
