@@ -49,6 +49,15 @@ from repro.storage.catalog import Catalog
 from repro.textfmt import human_bytes, human_seconds
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1: a bad value is
+    a usage error, not a traceback from the engine's own check."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _open_catalog(
     path: str, buffer_pages: int, stripes: int | None = None
 ) -> Catalog:
@@ -428,10 +437,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         render_workload,
     )
 
-    if args.workers < 1 or args.queue < 1 or args.clients < 1 or args.queries < 1:
-        print("error: --workers, --queue, --clients and --queries must be >= 1",
-              file=sys.stderr)
-        return 1
     if args.shards:
         # Shard workers have no slow-query or stripe setting;
         # their fault injectors are in other processes. Refuse, don't drop.
@@ -569,13 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_db(p: argparse.ArgumentParser) -> None:
         p.add_argument("--db", required=True, help="catalog directory")
-        p.add_argument("--buffer-pages", type=int, default=2048)
-        p.add_argument("--stripes", type=int, default=None,
+        p.add_argument("--buffer-pages", type=positive_int, default=2048)
+        p.add_argument("--stripes", type=positive_int, default=None,
                        help="buffer pool lock stripes (default: sized "
                        "automatically from --buffer-pages)")
 
     def add_scan(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scan-workers", type=int, default=1,
+        p.add_argument("--scan-workers", type=positive_int, default=1,
                        help="morsel-scan threads per running query "
                        "(default 1: serial scans)")
         p.add_argument("--scan-backend", choices=("thread", "process"),
@@ -590,9 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="restrict the planner to one SMA set")
 
     def add_pool(p: argparse.ArgumentParser, *, workers: int) -> None:
-        p.add_argument("--workers", type=int, default=workers,
+        p.add_argument("--workers", type=positive_int, default=workers,
                        help=f"query worker threads (default {workers})")
-        p.add_argument("--queue", type=int, default=32,
+        p.add_argument("--queue", type=positive_int, default=32,
                        help="admission queue depth (default 32)")
 
     def add_events(p: argparse.ArgumentParser, what: str) -> None:
@@ -684,9 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db(p_serve)
     add_pool(p_serve, workers=4)
-    p_serve.add_argument("--clients", type=int, default=8,
+    p_serve.add_argument("--clients", type=positive_int, default=8,
                          help="closed-loop client threads (default 8)")
-    p_serve.add_argument("--queries", type=int, default=64,
+    p_serve.add_argument("--queries", type=positive_int, default=64,
                          help="total queries to replay (default 64)")
     p_serve.add_argument("--rate", type=float, default=None,
                          help="open-loop arrival rate in queries/s "

@@ -2,7 +2,7 @@
 
 from repro.query.aggregation import AggregationState
 from repro.query.gaggr import GAggr
-from repro.query.iterators import Filter, Operator, Project, SeqScan, SmaScan
+from repro.query.iterators import Operator, Project, Scan
 from repro.query.logical import LogicalPlan, build_logical, normalize_predicate
 from repro.query.physical import PhysicalPlan, PlanNode
 from repro.query.planner import (
@@ -31,7 +31,6 @@ __all__ = [
     "AggregationState",
     "Explanation",
     "ExplainQuery",
-    "Filter",
     "GAggr",
     "GradingSummary",
     "LogicalPlan",
@@ -46,11 +45,10 @@ __all__ = [
     "Project",
     "QueryResult",
     "QueryRows",
+    "Scan",
     "ScanQuery",
-    "SeqScan",
     "Session",
     "SmaGAggr",
-    "SmaScan",
     "build_logical",
     "fetch_io_profile",
     "normalize_predicate",

@@ -7,7 +7,7 @@ states it once per *task shape*:
 
 * :class:`FoldTask` — a bucket list filtered and folded into one
   partial :class:`~repro.query.aggregation.AggregationState`
-  (``ParallelGAggr``'s morsel);
+  (``GAggr``'s task);
 * :class:`SmaRangeTask` — a contiguous bucket range of SMA_GAggr:
   qualifying buckets advance from SMA entries, ambivalent ones are
   fetched and filtered.  The serial plan runs the same task over the
@@ -184,9 +184,12 @@ def dispatch_fold(
     rebuilds the serial contribution sequence (see
     :meth:`AggregationState.merge`).  ``merge`` refuses a partial whose
     plan differs from its target's, so partials that crossed a process
-    boundary are checked against the parent's plan here.
+    boundary are checked against the parent's plan here.  A lone partial
+    (a serial plan's one task) ran in this process and is returned as is.
     """
     partials = dispatch(table, tasks, parallelism, tracer, span_name)
+    if len(partials) == 1:
+        return partials[0]
     state = spec.new_state(table.schema)
     with tracer.span("merge", attrs={"partials": len(partials)}):
         for part in partials:

@@ -5,7 +5,9 @@ are already gone and qualifying buckets never touch the heap — is split
 into fixed-size *morsels* (contiguous runs of bucket numbers) dispatched
 to a small worker pool, in the spirit of morsel-driven parallelism
 (Leis et al., SIGMOD 2014) adapted to this engine's bucket-batch
-iterators.
+iterators.  A serial plan is the same operator with one task over the
+whole bucket list (:meth:`ScanParallelism.split`), which
+:func:`run_morsels` runs inline on the caller's window.
 
 Determinism is the design constraint: every morsel produces a *partial*
 result (filtered batches, or partial per-group aggregates) and the
@@ -77,28 +79,27 @@ class ScanParallelism:
     def use_processes(self) -> bool:
         return self.enabled and self.backend == "process"
 
-    @classmethod
-    def serial(cls) -> "ScanParallelism":
-        return cls(workers=1)
+    @property
+    def mode(self) -> str:
+        """EXPLAIN's label: ``"serial"``, ``"morsel(workers=N)"`` or
+        ``"morsel(workers=N, backend=process)"``."""
+        if not self.enabled:
+            return "serial"
+        backend = "" if self.backend == "thread" else f", backend={self.backend}"
+        return f"morsel(workers={self.workers}{backend})"
 
-
-def resolve_parallelism(
-    value: "ScanParallelism | int | None",
-) -> ScanParallelism | None:
-    """Normalize a workers-count / config / None into a config or None."""
-    if value is None:
-        return None
-    if isinstance(value, int):
-        return ScanParallelism(workers=value)
-    return value
+    def split(self, bucket_nos: Sequence[int]) -> list[list[int]]:
+        """The task bucket lists: the whole list once when serial, else
+        one morsel each."""
+        if not self.enabled:
+            return [[int(b) for b in bucket_nos]]
+        return make_morsels(bucket_nos, self.morsel_buckets)
 
 
 def make_morsels(
     bucket_nos: Sequence[int], morsel_buckets: int = DEFAULT_MORSEL_BUCKETS
 ) -> list[list[int]]:
     """Chunk *bucket_nos* (already in scan order) into fixed-size morsels."""
-    if morsel_buckets < 1:
-        raise ExecutionError(f"morsel_buckets must be >= 1, got {morsel_buckets}")
     buckets = [int(b) for b in bucket_nos]
     return [
         buckets[start : start + morsel_buckets]

@@ -2,14 +2,15 @@
 
 The planner's access-path enumerator decides *what* to run (which
 strategy, which SMA set); this module decides *how* — it binds a chosen
-access path to concrete operators and wraps them in a
+access path to its one operator and wraps it in a
 :class:`PhysicalPlan`: an inspectable tree of :class:`PlanNode`\\ s plus
 one typed runner (:data:`~repro.query.query.PlanRunner`).
 
-The serial-vs-morsel-parallel decision is made in exactly one place,
-:func:`scan_binding` — every strategy consults it, so enabling scan
-workers swaps *all* plans onto their morsel operators consistently and
-EXPLAIN always shows which execution mode was bound.
+Each strategy binds exactly one operator whatever the worker count: the
+operator splits its bucket list into tasks by its
+:class:`~repro.query.parallel.ScanParallelism` (one task when serial),
+and the node that shows the execution mode carries its label, so
+EXPLAIN always shows which mode was bound.
 """
 
 from __future__ import annotations
@@ -19,15 +20,8 @@ from typing import Callable
 
 from repro.errors import ExecutionError
 from repro.obs.trace import NO_TRACER
-from repro.query.gaggr import GAggr, ParallelGAggr
-from repro.query.iterators import (
-    Filter,
-    MorselScan,
-    Operator,
-    Project,
-    SeqScan,
-    SmaScan,
-)
+from repro.query.gaggr import GAggr
+from repro.query.iterators import Operator, Project, Scan
 from repro.query.logical import LogicalDml, LogicalPlan
 from repro.query.parallel import ScanParallelism
 from repro.query.query import PlanRunner, QueryRows
@@ -114,33 +108,6 @@ class PhysicalPlan:
 
 
 # ----------------------------------------------------------------------
-# the single serial-vs-parallel seam
-# ----------------------------------------------------------------------
-
-
-def scan_binding(
-    parallelism: ScanParallelism | None,
-) -> tuple[str, ScanParallelism | None]:
-    """Resolve the execution mode every physical plan binds against.
-
-    Returns ``(mode_label, effective_parallelism)`` where the label is
-    ``"serial"``, ``"morsel(workers=N)"`` (thread backend) or
-    ``"morsel(workers=N, backend=process)"``, and the parallelism is
-    None whenever execution should use the serial operators.  This is
-    the only place in the engine where that decision is made.
-    """
-    if parallelism is not None and parallelism.enabled:
-        if parallelism.backend != "thread":
-            label = (
-                f"morsel(workers={parallelism.workers}, "
-                f"backend={parallelism.backend})"
-            )
-            return label, parallelism
-        return f"morsel(workers={parallelism.workers})", parallelism
-    return "serial", None
-
-
-# ----------------------------------------------------------------------
 # node helpers
 # ----------------------------------------------------------------------
 
@@ -162,14 +129,27 @@ def _grade_node(partitioning, sma_set) -> PlanNode:
     )
 
 
-def _scan_node(table: Table, mode: str) -> PlanNode:
+def _mode_props(parallelism: ScanParallelism) -> tuple[tuple[str, str], ...]:
+    """The execution mode, plus the morsel knobs when there are morsels."""
+    props = (("mode", parallelism.mode),)
+    if parallelism.enabled:
+        props += (
+            ("workers", str(parallelism.workers)),
+            ("morsel_buckets", str(parallelism.morsel_buckets)),
+        )
+    return props
+
+
+def _filtered_scan_node(
+    table: Table, predicate, parallelism: ScanParallelism
+) -> PlanNode:
+    scan = PlanNode(
+        "SeqScan",
+        props=(("table", table.name), ("buckets", str(table.num_buckets)))
+        + _mode_props(parallelism),
+    )
     return PlanNode(
-        "SeqScan" if mode == "serial" else "MorselScan",
-        props=(
-            ("table", table.name),
-            ("buckets", str(table.num_buckets)),
-            ("mode", mode),
-        ),
+        "Filter", props=(("predicate", str(predicate)),), children=(scan,)
     )
 
 
@@ -202,42 +182,6 @@ def _materialize_rows(operator: Operator) -> PlanRunner:
     return runner
 
 
-def _traced_runner(
-    runner: PlanRunner, tracer, name: str, table: Table
-) -> PlanRunner:
-    """Wrap a *serial, monolithic* runner in one io-carrying span.
-
-    Only used for operators with no internal instrumentation (GAggr,
-    SeqScan, SmaScan pipelines): the single span is then the leaf that
-    accounts the whole execution.  Parallel operators must NOT be
-    wrapped this way — their per-morsel spans carry the I/O, and the
-    dispatcher merges worker windows into the calling window, which an
-    enclosing io span would double-count.
-    """
-    if not tracer.enabled:
-        return runner
-
-    def traced() -> QueryRows:
-        # pool.stats resolves on the executing thread at run time, so
-        # the span charges the right per-query window under the service.
-        with tracer.span(name, stats=table.heap.pool.stats):
-            return runner()
-
-    return traced
-
-
-def _traced_state_runner(state_runner, tracer, name: str, table: Table):
-    """Same single-span wrapping for a serial ``collect_state`` runner."""
-    if not tracer.enabled:
-        return state_runner
-
-    def traced():
-        with tracer.span(name, stats=table.heap.pool.stats):
-            return state_runner()
-
-    return traced
-
-
 # ----------------------------------------------------------------------
 # binding: access path -> operators + node tree
 # ----------------------------------------------------------------------
@@ -247,14 +191,13 @@ def bind_aggregate_plan(
     table: Table,
     logical: LogicalPlan,
     strategy: str,
-    parallelism: ScanParallelism | None,
+    parallelism: ScanParallelism,
     *,
     sma_set=None,
     partitioning=None,
     tracer=NO_TRACER,
 ) -> PhysicalPlan:
     """Bind an aggregate access path ("sma_gaggr" or "gaggr")."""
-    mode, parallel = scan_binding(parallelism)
     predicate = logical.predicate
     if strategy == "sma_gaggr":
         operator = SmaGAggr(
@@ -264,7 +207,7 @@ def bind_aggregate_plan(
             logical.aggregates,
             sma_set,
             partitioning=partitioning,
-            parallelism=parallel,
+            parallelism=parallelism,
             tracer=tracer,
         )
         fetch = PlanNode(
@@ -278,121 +221,65 @@ def bind_aggregate_plan(
                     ),
                 ),
                 ("which", "ambivalent"),
-                ("mode", mode),
-            ),
+            )
+            + _mode_props(parallelism),
         )
         root = PlanNode(
             "SmaGAggr",
             props=_aggregate_props(logical) + (("sma_set", sma_set.name),),
             children=(_grade_node(partitioning, sma_set), fetch),
         )
-        return PhysicalPlan(
-            root, operator.execute, state_runner=operator.collect_state
+    elif strategy == "gaggr":
+        operator = GAggr(
+            table,
+            predicate,
+            logical.group_by,
+            logical.aggregates,
+            parallelism,
+            tracer=tracer,
         )
-    if strategy == "gaggr":
-        if parallel is not None:
-            operator = ParallelGAggr(
-                table,
-                predicate,
-                logical.group_by,
-                logical.aggregates,
-                parallel,
-                tracer=tracer,
-            )
-            root = PlanNode(
-                "ParallelGAggr",
-                props=_aggregate_props(logical)
-                + (
-                    ("filter", str(predicate)),
-                    ("workers", str(parallel.workers)),
-                    ("morsel_buckets", str(parallel.morsel_buckets)),
-                ),
-                children=(_scan_node(table, mode),),
-            )
-        else:
-            operator = GAggr(
-                Filter(SeqScan(table), predicate),
-                logical.group_by,
-                logical.aggregates,
-            )
-            root = PlanNode(
-                "GAggr",
-                props=_aggregate_props(logical),
-                children=(
-                    PlanNode(
-                        "Filter",
-                        props=(("predicate", str(predicate)),),
-                        children=(_scan_node(table, mode),),
-                    ),
-                ),
-            )
-            return PhysicalPlan(
-                root,
-                _traced_runner(operator.execute, tracer, "scan_aggregate", table),
-                state_runner=_traced_state_runner(
-                    operator.collect_state, tracer, "scan_aggregate", table
-                ),
-            )
-        return PhysicalPlan(
-            root, operator.execute, state_runner=operator.collect_state
+        root = PlanNode(
+            "GAggr",
+            props=_aggregate_props(logical),
+            children=(_filtered_scan_node(table, predicate, parallelism),),
         )
-    raise ValueError(f"unknown aggregate strategy {strategy!r}")
+    else:
+        raise ValueError(f"unknown aggregate strategy {strategy!r}")
+    return PhysicalPlan(root, operator.execute, state_runner=operator.collect_state)
 
 
 def bind_scan_plan(
     table: Table,
     logical: LogicalPlan,
     strategy: str,
-    parallelism: ScanParallelism | None,
+    parallelism: ScanParallelism,
     *,
     sma_set=None,
     partitioning=None,
     tracer=NO_TRACER,
 ) -> PhysicalPlan:
     """Bind a tuple-returning access path ("sma_scan" or "seq_scan")."""
-    mode, parallel = scan_binding(parallelism)
     predicate = logical.predicate
     if strategy == "sma_scan":
-        if parallel is not None:
-            operator: Operator = MorselScan(
-                table, predicate, parallel, partitioning=partitioning, tracer=tracer
-            )
-        else:
-            operator = SmaScan(
-                table, predicate, sma_set, partitioning=partitioning
-            )
         fetched = partitioning.num_buckets - partitioning.num_disqualifying
         root = PlanNode(
-            "SmaScan" if parallel is None else "MorselSmaScan",
+            "SmaScan",
             props=(
                 ("table", table.name),
                 ("predicate", str(predicate)),
                 ("buckets", _fraction(fetched, partitioning.num_buckets)),
-                ("mode", mode),
-            ),
+            )
+            + _mode_props(parallelism),
             children=(_grade_node(partitioning, sma_set),),
         )
     elif strategy == "seq_scan":
-        if parallel is not None:
-            operator = MorselScan(table, predicate, parallel, tracer=tracer)
-            root = PlanNode(
-                "MorselScan",
-                props=(
-                    ("table", table.name),
-                    ("filter", str(predicate)),
-                    ("buckets", str(table.num_buckets)),
-                    ("mode", mode),
-                ),
-            )
-        else:
-            operator = Filter(SeqScan(table), predicate)
-            root = PlanNode(
-                "Filter",
-                props=(("predicate", str(predicate)),),
-                children=(_scan_node(table, mode),),
-            )
+        root = _filtered_scan_node(table, predicate, parallelism)
     else:
         raise ValueError(f"unknown scan strategy {strategy!r}")
+    # The seq_scan path carries no partitioning: every bucket is fetched.
+    operator: Operator = Scan(
+        table, predicate, partitioning, parallelism, tracer=tracer
+    )
     if logical.columns:
         operator = Project(operator, logical.columns)
         root = PlanNode(
@@ -400,12 +287,7 @@ def bind_scan_plan(
             props=(("columns", ", ".join(logical.columns)),),
             children=(root,),
         )
-    runner = _materialize_rows(operator)
-    if parallel is None:
-        # Serial pipelines have no internal spans: one leaf span covers
-        # the whole scan.  Morsel plans get per-worker spans instead.
-        runner = _traced_runner(runner, tracer, strategy, table)
-    return PhysicalPlan(root, runner)
+    return PhysicalPlan(root, _materialize_rows(operator))
 
 
 def bind_dml_plan(catalog, logical: LogicalDml, *, tracer=NO_TRACER) -> PhysicalPlan:

@@ -43,7 +43,7 @@ from repro.errors import PlanningError, SmaIntegrityError, SmaStateError
 from repro.lang.predicate import Predicate, atoms
 from repro.obs.trace import NO_TRACER
 from repro.query.logical import LogicalPlan, build_logical, build_logical_dml
-from repro.query.parallel import ScanParallelism, resolve_parallelism
+from repro.query.parallel import ScanParallelism
 from repro.query.physical import (
     PhysicalPlan,
     PlanNode,
@@ -282,14 +282,14 @@ class Planner:
         self,
         catalog: Catalog,
         disk_model: DiskModel = PAPER_DISK,
-        parallelism: ScanParallelism | int | None = None,
+        parallelism: ScanParallelism = ScanParallelism(),
         tracer=NO_TRACER,
     ):
         self.catalog = catalog
         self.disk_model = disk_model
-        #: morsel-parallel scan config; None or workers=1 keeps every
-        #: plan on the serial operators.
-        self.parallelism = resolve_parallelism(parallelism)
+        #: morsel-parallel scan config; workers=1 runs every plan as
+        #: one task over its whole bucket list.
+        self.parallelism = parallelism
         self.tracer = tracer
 
     # ------------------------------------------------------------------

@@ -137,8 +137,9 @@ class Session:
     """Execute queries against a catalog with full cost accounting.
 
     ``scan_workers`` > 1 enables morsel-driven intra-query parallelism:
-    the planner swaps the serial scan operators for their morsel
-    variants, whose results are byte-identical to serial execution.
+    every plan's operator splits its bucket list into morsels instead of
+    running one task over it, with results byte-identical to serial
+    execution.
     ``scan_backend`` picks where morsels run: ``"thread"`` (default, in
     process) or ``"process"`` (persistent worker-process pool, see
     :mod:`repro.query.procpool`).

@@ -73,7 +73,9 @@ class TestTableView:
             view.append_rows([(1, BASE_DATE, 0.0, "A")])
 
 
-def _run_reader_writer_race(catalog, *, backend: str, scan_workers: int = 2):
+def _run_reader_writer_race(
+    catalog, *, backend: str, scan_workers: int = 2, mode: str = "auto"
+):
     """N reader threads assert count == base + batch * pinned epoch."""
     writer_session = Session(catalog)
     failures: list[str] = []
@@ -84,7 +86,7 @@ def _run_reader_writer_race(catalog, *, backend: str, scan_workers: int = 2):
             catalog, scan_workers=scan_workers, scan_backend=backend
         )
         while not done.is_set():
-            result = session.sql("SELECT COUNT(*) AS n FROM SALES")
+            result = session.sql("SELECT COUNT(*) AS n FROM SALES", mode=mode)
             count, epoch = result.rows[0][0], result.epoch
             expected = BASE + BATCH * epoch
             if count != expected:
@@ -110,8 +112,14 @@ def _run_reader_writer_race(catalog, *, backend: str, scan_workers: int = 2):
     assert final.epoch == BATCHES
 
 
-def test_readers_pinned_thread_backend(catalog, sales_table, sales_sma_set):
-    _run_reader_writer_race(catalog, backend="thread")
+@pytest.mark.parametrize("mode", ["sma", "scan"])
+@pytest.mark.parametrize("scan_workers", [1, 2])
+def test_readers_pinned_thread_backend(
+    catalog, sales_table, sales_sma_set, scan_workers, mode
+):
+    _run_reader_writer_race(
+        catalog, backend="thread", scan_workers=scan_workers, mode=mode
+    )
 
 
 def test_readers_pinned_process_backend(tmp_path):

@@ -77,6 +77,25 @@ class TestQuery:
         assert rows_of(out_sma) == rows_of(out_scan)
 
 
+class TestCountOptions:
+    """A count below 1 is a usage error (exit 2), not an engine traceback."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("query", "--scan-workers", "0"),
+        ("query", "--buffer-pages", "0"),
+        ("query", "--stripes", "0"),
+        ("serve", "--workers", "0"),
+        ("serve", "--queue", "-1"),
+        ("serve", "--clients", "0"),
+    ])
+    def test_rejected_by_the_parser(self, db, capsys, command, flag, value):
+        sql = ["SELECT COUNT(*) AS n FROM LINEITEM"] if command == "query" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--db", db, flag, value, *sql])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 class TestExplain:
     @pytest.fixture
     def loaded(self, db, capsys):

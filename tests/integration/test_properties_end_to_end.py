@@ -24,7 +24,6 @@ from repro.core import (
 from repro.core.aggregates import average
 from repro.lang import and_, cmp, col, or_
 from repro.query.gaggr import GAggr
-from repro.query.iterators import Filter, SeqScan
 from repro.query.query import OutputAggregate
 from repro.query.sma_gaggr import SmaGAggr
 from repro.storage import Catalog, DATE, FLOAT64, INT32, Schema, char
@@ -117,9 +116,7 @@ def test_sma_gaggr_equals_gaggr(tmp_path, rows, predicate):
         sma_columns, sma_rows = SmaGAggr(
             table, predicate, ("g",), AGGS, sma_set
         ).execute()
-        scan_columns, scan_rows = GAggr(
-            Filter(SeqScan(table), predicate), ("g",), AGGS
-        ).execute()
+        scan_columns, scan_rows = GAggr(table, predicate, ("g",), AGGS).execute()
         assert sma_columns == scan_columns
         assert_rows_equal(
             sorted(sma_rows, key=repr), sorted(scan_rows, key=repr), rel=1e-9

@@ -11,7 +11,7 @@ import datetime
 import pytest
 
 from repro.core import count_star, total
-from repro.lang import cmp, col
+from repro.lang import cmp, col, or_
 from repro.obs import EventLog, Tracer
 from repro.query.query import AggregateQuery, OutputAggregate, ScanQuery
 from repro.query.session import Session
@@ -108,6 +108,65 @@ class TestExactAttribution:
         session.execute(agg_query())
         assert session.tracer.last_trace() is None
         assert not session.tracer.enabled
+
+
+def mixed_agg_query():
+    """Qualifying buckets, then ambivalent ones: several SMA_GAggr ranges."""
+    query = agg_query(days=10)
+    return AggregateQuery(
+        table=query.table,
+        aggregates=query.aggregates,
+        where=or_(query.where, cmp("qty", ">=", 6.0)),
+        group_by=query.group_by,
+        order_by=query.order_by,
+    )
+
+
+#: strategy -> (query, forced mode, the name of its task spans)
+STRATEGY_CASES = {
+    "sma_gaggr": (mixed_agg_query, "sma", "sma_range"),
+    "gaggr": (agg_query, "scan", "scan_morsel"),
+    "sma_scan": (scan_query, "sma", "scan_morsel"),
+    "seq_scan": (scan_query, "scan", "scan_morsel"),
+}
+
+
+class TestOneTaskRule:
+    """A serial plan is its operator's task run once over every bucket;
+    a morsel plan runs one task per morsel."""
+
+    @pytest.mark.parametrize("strategy", STRATEGY_CASES)
+    def test_serial_plan_runs_one_task(self, traced_session, strategy):
+        session, tracer = traced_session
+        make_query, mode, task_span = STRATEGY_CASES[strategy]
+        result = session.execute(make_query(), mode=mode)
+        assert result.plan.strategy == strategy
+        root = tracer.last_trace()
+        names = [s.name for s in root.walk()]
+        assert names.count(task_span) == 1
+        assert "merge" not in names
+        assert_exact_attribution(root, result.stats)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_CASES)
+    def test_morsel_plan_runs_one_task_per_morsel(
+        self, catalog, sales_table, sales_sma_set, strategy
+    ):
+        tracer = Tracer(keep=8)
+        session = Session(catalog, scan_workers=4, morsel_buckets=1, tracer=tracer)
+        make_query, mode, task_span = STRATEGY_CASES[strategy]
+        result = session.execute(make_query(), mode=mode)
+        assert result.plan.strategy == strategy
+        root = tracer.last_trace()
+        morsels = sorted(
+            s.attrs["morsel"] for s in root.walk() if s.name == task_span
+        )
+        # One fetched bucket per task.  SMA_GAggr cuts one range at each
+        # ambivalent bucket; this query's last bucket is ambivalent (qty
+        # is not graded), so no qualifying tail adds a range.
+        expected = result.stats.buckets_fetched
+        assert expected > 1
+        assert morsels == list(range(expected))
+        assert_exact_attribution(root, result.stats)
 
 
 class TestServicePropagation:

@@ -120,10 +120,9 @@ class TestParallelBinding:
     def test_morsel_mode_shows_in_tree(self, catalog, sales_table, sales_sma_set):
         session = Session(catalog, scan_workers=4)
         explanation = session.explain(aggregate_query(), mode="scan")
-        assert explanation.tree.name == "ParallelGAggr"
-        assert explanation.tree.prop("workers") == "4"
-        scan_node = explanation.tree.children[0]
-        assert scan_node.name == "MorselScan"
+        assert node_names(explanation.tree) == ["GAggr", "Filter", "SeqScan"]
+        scan_node = list(explanation.tree.walk())[-1]
+        assert scan_node.prop("workers") == "4"
         assert scan_node.prop("mode") == "morsel(workers=4)"
 
     def test_serial_session_binds_serial(self, session):

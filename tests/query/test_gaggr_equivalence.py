@@ -15,7 +15,6 @@ from repro.core.aggregates import average, count_star, maximum, minimum, total
 from repro.lang import and_, cmp, col, or_
 from repro.lang.predicate import TruePredicate
 from repro.query.gaggr import GAggr
-from repro.query.iterators import Filter, SeqScan
 from repro.query.query import OutputAggregate
 from repro.query.sma_gaggr import SmaGAggr
 
@@ -26,9 +25,7 @@ def run_both(table, sma_set, predicate, group_by, aggregates):
     sma_columns, sma_rows = SmaGAggr(
         table, predicate, group_by, aggregates, sma_set
     ).execute()
-    scan_columns, scan_rows = GAggr(
-        Filter(SeqScan(table), predicate), group_by, aggregates
-    ).execute()
+    scan_columns, scan_rows = GAggr(table, predicate, group_by, aggregates).execute()
     assert sma_columns == scan_columns
     # Deterministic order for comparison.
     assert_rows_equal(sorted(sma_rows, key=repr), sorted(scan_rows, key=repr))

@@ -19,7 +19,6 @@ from repro.core import (
 from repro.lang import cmp, col
 from repro.lang.predicate import TruePredicate
 from repro.query.gaggr import GAggr
-from repro.query.iterators import Filter, SeqScan
 from repro.query.query import AggregateQuery, OutputAggregate
 from repro.query.session import Session
 from repro.query.sma_gaggr import SmaGAggr
@@ -59,9 +58,7 @@ def run_both(table, sma_set, predicate):
     _, sma_rows = SmaGAggr(
         table, predicate, ("flag",), AGGS, sma_set
     ).execute()
-    _, scan_rows = GAggr(
-        Filter(SeqScan(table), predicate), ("flag",), AGGS
-    ).execute()
+    _, scan_rows = GAggr(table, predicate, ("flag",), AGGS).execute()
     assert_rows_equal(sorted(sma_rows, key=repr), sorted(scan_rows, key=repr))
     return sma_rows
 

@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.lang import cmp, col
 from repro.query.gaggr import GAggr
-from repro.query.iterators import Filter, SeqScan, SmaScan
+from repro.query.iterators import Scan
 from repro.query.morsel import FoldSpec, FoldTask, ScanTask, SmaRangeTask
 from repro.query.query import OutputAggregate
 from repro.query.sma_gaggr import SmaGAggr
@@ -205,7 +205,7 @@ class TestContiguousSplitsMergeToSerial:
             for lo, hi in chunks(view.num_buckets, cuts):
                 state.merge(FoldTask(list(range(lo, hi)), spec).run(view))
             serial = GAggr(
-                Filter(SeqScan(view), spec.predicate), spec.group_by, spec.aggregates
+                view, spec.predicate, spec.group_by, spec.aggregates
             ).collect_state()
             assert state_bits(state) == state_bits(serial)
             assert state.finalize() == serial.finalize()
@@ -222,9 +222,7 @@ class TestContiguousSplitsMergeToSerial:
             state.merge(sma_task(view, sma_set, days, lo, hi).run(view))
         assert state_bits(state) == state_bits(serial)
         # ...and the SMA answer is the heap answer, to the bit.
-        heap = GAggr(
-            Filter(SeqScan(view), shipped_by(days)), GROUP_BY, SMA_AGGREGATES
-        ).collect_state()
+        heap = GAggr(view, shipped_by(days), GROUP_BY, SMA_AGGREGATES).collect_state()
         assert state.finalize() == heap.finalize()
 
     @bounded
@@ -243,8 +241,8 @@ class TestContiguousSplitsMergeToSerial:
             every = list(range(lo, hi))
             plain += ScanTask(every, [False] * len(every), predicate).run(view)
         assert batch_bits(graded) == batch_bits(
-            SmaScan(view, predicate, sma_set, partitioning).batches()
+            Scan(view, predicate, partitioning).batches()
         )
         assert batch_bits(plain) == batch_bits(
-            Filter(SeqScan(view), predicate).batches()
+            Scan(view, predicate).batches()
         )

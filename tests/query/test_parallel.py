@@ -15,7 +15,6 @@ from repro.query.parallel import (
     DEFAULT_MORSEL_BUCKETS,
     ScanParallelism,
     make_morsels,
-    resolve_parallelism,
     run_morsels,
 )
 from repro.storage.buffer import BufferPool
@@ -28,7 +27,6 @@ class TestScanParallelism:
         assert p.workers == 1
         assert p.morsel_buckets == DEFAULT_MORSEL_BUCKETS
         assert not p.enabled
-        assert not ScanParallelism.serial().enabled
         assert ScanParallelism(workers=4).enabled
 
     def test_validation(self):
@@ -37,11 +35,23 @@ class TestScanParallelism:
         with pytest.raises(ExecutionError):
             ScanParallelism(workers=2, morsel_buckets=0)
 
-    def test_resolve(self):
-        assert resolve_parallelism(None) is None
-        assert resolve_parallelism(4) == ScanParallelism(workers=4)
-        config = ScanParallelism(workers=2, morsel_buckets=3)
-        assert resolve_parallelism(config) is config
+    def test_serial_is_one_task_over_every_bucket(self):
+        assert ScanParallelism(morsel_buckets=2).split(range(5)) == [
+            [0, 1, 2, 3, 4]
+        ]
+        assert ScanParallelism().split([]) == [[]]
+        assert ScanParallelism(workers=3, morsel_buckets=2).split(range(5)) == [
+            [0, 1], [2, 3], [4]
+        ]
+
+    def test_mode_labels(self):
+        assert ScanParallelism().mode == "serial"
+        assert ScanParallelism(backend="process").mode == "serial"
+        assert ScanParallelism(workers=4).mode == "morsel(workers=4)"
+        assert (
+            ScanParallelism(workers=2, backend="process").mode
+            == "morsel(workers=2, backend=process)"
+        )
 
 
 class TestMakeMorsels:
@@ -49,10 +59,6 @@ class TestMakeMorsels:
         assert make_morsels([3, 1, 4, 1, 5], 2) == [[3, 1], [4, 1], [5]]
         assert make_morsels(range(4), 8) == [[0, 1, 2, 3]]
         assert make_morsels([], 4) == []
-
-    def test_rejects_bad_size(self):
-        with pytest.raises(ExecutionError):
-            make_morsels([1, 2], 0)
 
 
 class TestRunMorsels:
