@@ -58,15 +58,13 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _open_catalog(
-    path: str, buffer_pages: int, stripes: int | None = None
-) -> Catalog:
-    return Catalog.discover(path, buffer_pages=buffer_pages, stripes=stripes)
+def _open_catalog(path: str, buffer_pages: int) -> Catalog:
+    return Catalog.discover(path, buffer_pages=buffer_pages)
 
 
 def _open_session(args: argparse.Namespace, **kwargs) -> tuple[Catalog, Session]:
     """The catalog at ``--db`` and a session with the ``--scan-*`` knobs."""
-    catalog = _open_catalog(args.db, args.buffer_pages, args.stripes)
+    catalog = _open_catalog(args.db, args.buffer_pages)
     return catalog, Session(catalog, scan_workers=args.scan_workers,
                             scan_backend=args.scan_backend, **kwargs)
 
@@ -438,11 +436,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.shards:
-        # Shard workers have no slow-query or stripe setting;
-        # their fault injectors are in other processes. Refuse, don't drop.
+        # Shard workers have no slow-query setting; their fault
+        # injectors are in other processes. Refuse, don't drop.
         refused = [flag for flag, given in (
             ("--slow-ms", args.slow_ms is not None),
-            ("--stripes", args.stripes is not None),
             ("--fault-events", args.fault_events),
         ) if given]
         if refused:
@@ -494,7 +491,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"shard {shard_id}: {state}")
         else:
             catalog = stack.enter_context(
-                _open_catalog(args.db, args.buffer_pages, args.stripes)
+                _open_catalog(args.db, args.buffer_pages)
             )
             if not catalog.has_table("LINEITEM"):
                 print("error: catalog has no LINEITEM table; run `repro load` "
@@ -575,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_db(p: argparse.ArgumentParser) -> None:
         p.add_argument("--db", required=True, help="catalog directory")
         p.add_argument("--buffer-pages", type=positive_int, default=2048)
-        p.add_argument("--stripes", type=positive_int, default=None,
-                       help="buffer pool lock stripes (default: sized "
-                       "automatically from --buffer-pages)")
 
     def add_scan(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scan-workers", type=positive_int, default=1,
@@ -727,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "shard-init`): launch this many local shard worker "
                          "processes and scatter-gather through the router; "
                          "the pool, scan and fault options go to every "
-                         "worker, --slow-ms, --stripes and --fault-events "
-                         "are refused")
+                         "worker, --slow-ms and --fault-events are "
+                         "refused")
     p_serve.add_argument("--shard-events",
                          help="with --shards: directory for per-shard JSONL "
                          "event logs (shard-<k>.jsonl)")
@@ -769,8 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_db(p_verify)
     p_verify.add_argument("--repair", action="store_true",
-                          help="rebuild damaged SMAs from the heap and "
-                          "migrate unchecksummed heap files in place")
+                          help="rebuild damaged SMAs from the heap (a table "
+                          "with a damaged heap page is left untouched: heap "
+                          "pages are ground truth and cannot be rebuilt)")
     add_events(p_verify, "verify_issue/verify_repair events")
     p_verify.set_defaults(func=cmd_verify)
     return parser

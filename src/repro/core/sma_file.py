@@ -36,12 +36,13 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.storage.buffer import BufferPool
+from repro.storage.checksum import ALGORITHM
 from repro.storage.checksum import checksum as compute_checksum
-from repro.storage.checksum import default_algorithm
 from repro.storage.page import DEFAULT_PAGE_SIZE
+from repro.storage.sidecar import write_atomic
 
 _META_SUFFIX = ".meta.json"
-#: Current SMA-file meta format: v2 adds a whole-body checksum.
+#: The SMA-file meta format: a CRC-32 over the whole body.
 FORMAT_VERSION = 2
 
 
@@ -55,7 +56,6 @@ class SmaFile:
         valid: np.ndarray | None,
         pool: BufferPool,
         page_size: int,
-        checksum_algo: str | None = None,
     ):
         if values.ndim != 1:
             raise StorageError("SMA values must be a 1-D array")
@@ -64,8 +64,6 @@ class SmaFile:
         self.path = path
         self.pool = pool
         self.page_size = page_size
-        #: Body-checksum algorithm, or None for legacy/unchecksummed files.
-        self.checksum_algo = checksum_algo
         #: Why the file failed verification at :meth:`open`, or None when
         #: healthy.  A corrupt file keeps its declared geometry (entry
         #: count, page count) so planning can cost it, but every value
@@ -107,7 +105,6 @@ class SmaFile:
             None if valid is None else np.ascontiguousarray(valid, dtype=bool),
             pool,
             page_size,
-            checksum_algo=default_algorithm(),
         )
         sma._write_all()
         sma._save_meta()
@@ -117,9 +114,10 @@ class SmaFile:
     def open(cls, path: str, pool: BufferPool) -> "SmaFile":
         """Open an SMA-file previously created by :meth:`build`.
 
-        Integrity-tolerant: a body that fails its checksum or is shorter
-        than the declared entry count still opens — with placeholder
-        values, ``corrupt_reason`` set, and every value access raising
+        Integrity-tolerant: a body that fails its checksum, a meta that
+        records no CRC-32 checksum, or a body shorter than the declared
+        entry count still opens — with placeholder values,
+        ``corrupt_reason`` set, and every value access raising
         :class:`~repro.errors.SmaIntegrityError` — so the catalog stays
         usable and the planner can quarantine + fall back.  A garbled
         meta sidecar still fails loudly (there is no declared geometry
@@ -134,8 +132,13 @@ class SmaFile:
         stored = meta.get("checksum")
         raw = cls._read_body(path, pool, page_size)
         corrupt: str | None = None
-        if algo is not None and stored is not None:
-            actual = compute_checksum(raw, algo)
+        if algo != ALGORITHM or not isinstance(stored, int):
+            corrupt = (
+                f"meta carries no {ALGORITHM} body checksum "
+                f"(checksum_algo {algo!r}, checksum {stored!r})"
+            )
+        else:
+            actual = compute_checksum(raw)
             if actual != stored:
                 corrupt = (
                     f"body checksum mismatch: stored {stored:#010x}, "
@@ -157,7 +160,7 @@ class SmaFile:
             valid = np.frombuffer(
                 raw[valid_offset : valid_offset + count], dtype=np.bool_
             ).copy()
-        sma = cls(path, values, valid, pool, page_size, checksum_algo=algo)
+        sma = cls(path, values, valid, pool, page_size)
         sma.corrupt_reason = corrupt
         return sma
 
@@ -229,21 +232,14 @@ class SmaFile:
             "num_entries": int(len(self._values)),
             "has_validity": self._valid is not None,
             "page_size": self.page_size,
-            "format_version": FORMAT_VERSION if self.checksum_algo else 1,
+            "format_version": FORMAT_VERSION,
+            "checksum_algo": ALGORITHM,
+            "checksum": compute_checksum(self._serialize()),
         }
-        if self.checksum_algo:
-            meta["checksum_algo"] = self.checksum_algo
-            meta["checksum"] = compute_checksum(self._serialize(), self.checksum_algo)
-        # Atomic (tmp + replace): the DML maintainer rewrites metas on
-        # every batch, and a crash mid-write must never leave a garbled
-        # sidecar — ``open`` has no tolerant path for those.
-        meta_path = self.path + _META_SUFFIX
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(meta, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, meta_path)
+        # Atomic: the DML maintainer rewrites metas on every batch, and a
+        # crash mid-write must never leave a garbled sidecar — ``open``
+        # has no tolerant path for those.
+        write_atomic(self.path + _META_SUFFIX, json.dumps(meta).encode())
 
     def close(self) -> None:
         self._closed = True

@@ -50,6 +50,7 @@ from repro.lang.serde import (
     group_key_from_json,
     group_key_to_json,
 )
+from repro.storage.sidecar import write_atomic
 from repro.storage.table import Table
 
 _META_FILE = "smaset.json"
@@ -132,15 +133,12 @@ class SmaSet:
                 }
             )
         meta = {"name": self.name, "table": self.table.name, "definitions": definitions}
-        # Atomic (tmp + replace): the DML maintainer saves after every
-        # batch; a crash mid-write must not garble the set manifest.
-        meta_path = os.path.join(self.directory, _META_FILE)
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(meta, f, indent=1)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, meta_path)
+        # Atomic: the DML maintainer saves after every batch; a crash
+        # mid-write must not garble the set manifest.
+        write_atomic(
+            os.path.join(self.directory, _META_FILE),
+            json.dumps(meta, indent=1).encode(),
+        )
 
     @classmethod
     def open(cls, directory: str, table: Table) -> "SmaSet":
@@ -176,14 +174,6 @@ class SmaSet:
         for files in self._files.values():
             for sma in files.values():
                 sma.close()
-
-    def delete_files(self) -> None:
-        for files in self._files.values():
-            for sma in files.values():
-                sma.delete_files()
-        meta_path = os.path.join(self.directory, _META_FILE)
-        if os.path.exists(meta_path):
-            os.remove(meta_path)
 
     # ------------------------------------------------------------------
     # inventory

@@ -4,7 +4,9 @@ SMA-files are *derived* data: everything in them can be recomputed from
 the heap.  So the verifier's contract is asymmetric —
 
 * heap pages are ground truth: a page failing its CRC is reported as
-  **unrepairable** (restore from backup; we will not guess at bytes);
+  **unrepairable** (restore from backup; we will not guess at bytes),
+  and the table's SMA sets are neither recomputed nor rebuilt, because
+  both would read the damaged page;
 * SMA damage of any kind (bad body checksum, truncated file, entry
   count drifting from the bucket count, values disagreeing with a fresh
   recompute) is **repairable**: ``--repair`` rebuilds the definition
@@ -35,7 +37,7 @@ __all__ = ["VerifyIssue", "VerifyReport", "verify_catalog"]
 class VerifyIssue:
     """One detected integrity problem."""
 
-    kind: str  #: heap_page | heap_unchecksummed | sma_corrupt | ...
+    kind: str  #: heap_page | heap_intent | sma_corrupt | sma_content
     table: str
     target: str  #: file path or definition name the issue is about
     detail: str
@@ -63,6 +65,8 @@ class VerifyReport:
     heap_pages_checked: int = 0
     sma_files_checked: int = 0
     definitions_checked: int = 0
+    #: Tables whose SMA sets were skipped because a heap page is damaged.
+    sma_unchecked: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -82,6 +86,10 @@ class VerifyReport:
         ]
         for issue in self.issues:
             lines.append(issue.render())
+        for table in self.sma_unchecked:
+            lines.append(
+                f"SMA sets of {table} not checked: its heap has damaged pages"
+            )
         if not self.issues:
             lines.append("no integrity issues found")
         elif self.ok:
@@ -163,18 +171,6 @@ def _verify_intents(
 def _verify_heap(catalog: Catalog, report: VerifyReport, events) -> None:
     for table in catalog.tables():
         heap = table.heap
-        if heap.checksum_algo is None:
-            issue = VerifyIssue(
-                kind="heap_unchecksummed",
-                table=table.name,
-                target=heap.path,
-                detail="format v1 heap file has no page checksums "
-                "(repair migrates it in place)",
-                repairable=True,
-            )
-            report.issues.append(issue)
-            _emit(events, issue)
-            continue
         for page_no in range(heap.num_pages):
             report.heap_pages_checked += 1
             try:
@@ -189,6 +185,8 @@ def _verify_heap(catalog: Catalog, report: VerifyReport, events) -> None:
                 )
                 report.issues.append(issue)
                 _emit(events, issue)
+                if table.name not in report.sma_unchecked:
+                    report.sma_unchecked.append(table.name)
 
 
 def _compare_definition(
@@ -233,6 +231,10 @@ def _verify_sma_sets(
 
     for table in catalog.tables():
         report.tables_checked += 1
+        if table.name in report.sma_unchecked:
+            # A recompute or rebuild reads every heap page and would
+            # raise on the damaged one.
+            continue
         for sma_set in catalog.sma_sets(table.name):
             definitions = list(sma_set.definitions.values())
             if not definitions:
@@ -324,17 +326,12 @@ def verify_catalog(
 
     Pending write-ahead intents are settled first (with ``repair=True``
     they are replayed or rolled back, restoring a clean epoch boundary).
-    With ``repair=True``, rebuildable damage (any SMA issue, v1 heap
-    files lacking checksums) is fixed in place; heap pages failing their
-    CRC are ground truth and stay unrepairable.
+    With ``repair=True``, every SMA issue is rebuilt in place; heap pages
+    failing their CRC are ground truth and stay unrepairable, and their
+    table's SMA sets are left unchecked and untouched.
     """
     report = VerifyReport()
     _verify_intents(catalog, report, events, repair=repair)
     _verify_heap(catalog, report, events)
-    if repair:
-        for issue in report.issues:
-            if issue.kind == "heap_unchecksummed":
-                catalog.table(issue.table).heap.migrate_to_checksums()
-                issue.repaired = True
     _verify_sma_sets(catalog, report, events, repair=repair)
     return report

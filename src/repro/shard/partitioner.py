@@ -110,7 +110,6 @@ def shard_init(
                         table.schema,
                         page_size=layout.page_size,
                         pages_per_bucket=layout.pages_per_bucket,
-                        page_header=layout.page_header,
                         clustered_on=table.clustered_on,
                     )
                     lo, hi = ranges[table.name][k]

@@ -1,4 +1,4 @@
-"""Striped, thread-safe LRU buffer pool with single-flight page loads.
+"""Thread-safe LRU buffer pool with single-flight page loads.
 
 All page traffic in the system goes through a :class:`BufferPool`.  The
 pool serves four purposes:
@@ -8,30 +8,25 @@ pool serves four purposes:
 * it classifies every physical read as sequential or random (a read is
   sequential when it targets the page directly after the previous
   physical read of the same file), feeding the simulated disk model;
-* it caps memory like the paper's 8 MB intertransaction buffer;
-* it is the concurrency core of the query service: the page map and LRU
-  lists are *striped* across N independent locks, physical loads run
-  outside every lock behind per-page single-flight latches, and
-  per-thread *query contexts* give each in-flight query its own
-  :class:`IoStats` window and its own sequential-read tracker so
+* it caps memory like the paper's 8 MB intertransaction buffer: one LRU
+  list over ``capacity_pages`` pages, so which page is evicted depends
+  only on the access sequence;
+* it is the concurrency core of the query service: one lock guards the
+  page map, physical loads run outside it behind per-page single-flight
+  latches, and per-thread *query contexts* give each in-flight query its
+  own :class:`IoStats` window and its own sequential-read tracker so
   concurrent queries cannot corrupt each other's cost accounting.
 
 Concurrency model
 -----------------
-The cache is partitioned into ``stripes`` shards, each with its own lock,
-its own LRU ``OrderedDict`` and its own share of the page capacity.  A
-page's stripe is a deterministic function of its key, chosen so that
-consecutive pages of one file land on *different* stripes — a scan's
-page stream spreads across every lock instead of hammering one.
-
-Disk reads never happen under a stripe lock.  On a miss the reading
+Disk reads never happen under the pool lock.  On a miss the reading
 thread becomes the page's *load leader*: it publishes a latch in the
-stripe's in-flight table, drops the lock, runs ``loader()``, then
-re-acquires the lock to install the page and wake any *followers* that
-arrived while the load was in progress.  Followers block on the latch
-(holding no locks), so concurrent readers of one missing page coalesce
-onto a single physical read instead of duplicating I/O — and readers of
-*other* pages are never serialized behind it.
+in-flight table, drops the lock, runs ``loader()``, then re-acquires the
+lock to install the page and wake any *followers* that arrived while the
+load was in progress.  Followers block on the latch (holding no locks),
+so concurrent readers of one missing page coalesce onto a single
+physical read instead of duplicating I/O — and readers of *other* pages
+are never serialized behind it.
 
 Counter semantics under single-flight (see also
 :mod:`repro.storage.stats`): the leader charges the one physical read
@@ -40,16 +35,15 @@ follower charges a buffer hit, because its bytes came from memory.  Per
 logical access exactly one charge is made, so per-query windows still
 partition the cumulative :meth:`counters` exactly.
 
-``invalidate``/``clear``/``note_write`` are stripe-aware and bump a
-per-stripe *generation*; a leader only installs its payload if the
-stripe generation is unchanged since the load began, so an invalidated
-page can never be resurrected by an in-flight read that started before
-the invalidation.
+``invalidate``/``clear``/``note_write`` bump the pool's *generation*; a
+leader only installs its payload if the generation is unchanged since
+the load began, so an invalidated page can never be resurrected by an
+in-flight read that started before the invalidation.
 
 ``pool.stats`` is a property.  Outside a query context it resolves to
-the pool's default :class:`IoStats` (the catalog-wide counters — fully
-backward compatible; charges to it are serialized on a dedicated lock).
-Inside ``with pool.query_context(stats):`` it resolves, *for the current
+the pool's default :class:`IoStats` (the catalog-wide counters; charges
+to it are serialized on the pool lock).  Inside
+``with pool.query_context(stats):`` it resolves, *for the current
 thread only*, to the bound per-query stats.  All charging code in the
 system reads ``pool.stats`` at operation time, so the whole execution
 stack is per-query isolated without touching any operator.
@@ -79,12 +73,6 @@ from repro.storage.faults import RetryPolicy
 from repro.storage.stats import IoStats
 
 PageKey = tuple[Hashable, int]
-
-#: Auto-striping granularity: one stripe per this many capacity pages,
-#: capped at :data:`MAX_AUTO_STRIPES`.  Small pools (unit-test sized)
-#: resolve to a single stripe, which preserves exact global LRU order.
-PAGES_PER_AUTO_STRIPE = 128
-MAX_AUTO_STRIPES = 16
 
 
 @dataclass
@@ -156,28 +144,8 @@ class _PageLoad:
         self.error: BaseException | None = None
 
 
-class _Stripe:
-    """One shard of the pool: a lock, an LRU map, in-flight loads, counters."""
-
-    __slots__ = (
-        "lock", "cache", "capacity", "loads", "generation",
-        "hits", "misses", "evictions", "writes",
-    )
-
-    def __init__(self, capacity: int):
-        self.lock = threading.Lock()
-        self.cache: OrderedDict[PageKey, bytes] = OrderedDict()
-        self.capacity = capacity
-        self.loads: dict[PageKey, _PageLoad] = {}
-        self.generation = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.writes = 0
-
-
 class BufferPool:
-    """A fixed-capacity, thread-safe, lock-striped LRU cache of page payloads.
+    """A fixed-capacity, thread-safe LRU cache of page payloads.
 
     Parameters
     ----------
@@ -189,39 +157,25 @@ class BufferPool:
         The default :class:`IoStats` instance charged for traffic through
         this pool when no query context is bound.  Callers typically
         snapshot/diff it around a query.
-    stripes:
-        Number of lock stripes.  ``None`` (the default) picks one stripe
-        per :data:`PAGES_PER_AUTO_STRIPE` capacity pages, capped at
-        :data:`MAX_AUTO_STRIPES` — production-sized pools stripe, tiny
-        test pools keep a single stripe and therefore exact global LRU
-        behaviour.  An explicit value is clamped so every stripe owns at
-        least one page.
     """
 
-    def __init__(
-        self,
-        capacity_pages: int = 2048,
-        stats: IoStats | None = None,
-        *,
-        stripes: int | None = None,
-    ):
+    def __init__(self, capacity_pages: int = 2048, stats: IoStats | None = None):
         if capacity_pages <= 0:
             raise StorageError(f"capacity_pages must be positive, got {capacity_pages}")
-        if stripes is not None and stripes <= 0:
-            raise StorageError(f"stripes must be positive, got {stripes}")
         self.capacity_pages = capacity_pages
-        if stripes is None:
-            stripes = max(1, min(MAX_AUTO_STRIPES, capacity_pages // PAGES_PER_AUTO_STRIPE))
-        stripes = min(stripes, capacity_pages)
-        base, extra = divmod(capacity_pages, stripes)
-        self._stripes = [
-            _Stripe(base + (1 if i < extra else 0)) for i in range(stripes)
-        ]
+        # Guards the page map, the in-flight table, the generation, the
+        # cumulative counters, the default window and its sequential-read
+        # tracker.  Per-context windows and trackers are thread-private.
+        self._lock = threading.Lock()
+        self._cache: OrderedDict[PageKey, bytes] = OrderedDict()
+        self._loads: dict[PageKey, _PageLoad] = {}
+        self._generation = 0
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._writes = 0
+        self._retries = 0
         self._default_stats = stats if stats is not None else IoStats()
-        # Serializes charges to the default window and the shared
-        # sequential-read tracker (per-context windows/trackers are
-        # thread-private and need no lock).
-        self._default_lock = threading.Lock()
         self._last_physical: dict[Hashable, int] = {}
         self._local = threading.local()
         #: Optional :class:`~repro.storage.faults.FaultInjector` consulted
@@ -235,34 +189,6 @@ class BufferPool:
         #: Optional callback ``(file_id, page_no, attempt, error)`` fired
         #: on each retry — the serve CLI wires this to the event log.
         self.on_retry: Callable[[Hashable, int, int, BaseException], None] | None = None
-        self._retries = 0
-
-    # ------------------------------------------------------------------
-    # striping
-    # ------------------------------------------------------------------
-
-    @property
-    def num_stripes(self) -> int:
-        return len(self._stripes)
-
-    def _stripe_for(self, key: PageKey) -> _Stripe:
-        # Mix the file identity with the raw page number so consecutive
-        # pages of one file round-robin across stripes — a sequential
-        # scan spreads over every lock instead of convoying on one.
-        file_id, page_no = key
-        return self._stripes[(hash(file_id) + page_no) % len(self._stripes)]
-
-    def stripe_lengths(self) -> list[int]:
-        """Pages currently held per stripe (diagnostics and tests)."""
-        out = []
-        for stripe in self._stripes:
-            with stripe.lock:
-                out.append(len(stripe.cache))
-        return out
-
-    def stripe_capacities(self) -> list[int]:
-        """Per-stripe page capacity; sums to ``capacity_pages``."""
-        return [stripe.capacity for stripe in self._stripes]
 
     # ------------------------------------------------------------------
     # per-query contexts
@@ -343,30 +269,8 @@ class BufferPool:
             raise QueryTimeoutError("query deadline exceeded during page access")
 
     # ------------------------------------------------------------------
-    # charging (window side; cumulative counters live on the stripes)
+    # charging (window side; cumulative counters sit beside the cache)
     # ------------------------------------------------------------------
-
-    def _charge_hit(self, binding: _QueryBinding | None, stats: IoStats) -> None:
-        if binding is None:
-            with self._default_lock:
-                stats.buffer_hits += 1
-        else:
-            stats.buffer_hits += 1
-
-    def _classify_physical(
-        self,
-        binding: _QueryBinding | None,
-        stats: IoStats,
-        file_id: Hashable,
-        page_no: int,
-        kind: str,
-    ) -> None:
-        """Charge one physical read, classified against the right tracker."""
-        if binding is None:
-            with self._default_lock:
-                self._classify_into(stats, self._last_physical, file_id, page_no, kind)
-        else:
-            self._classify_into(stats, binding.last_physical, file_id, page_no, kind)
 
     @staticmethod
     def _classify_into(
@@ -399,12 +303,21 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(self.stripe_lengths())
+        with self._lock:
+            return len(self._cache)
 
     def __contains__(self, key: PageKey) -> bool:
-        stripe = self._stripe_for(key)
-        with stripe.lock:
-            return key in stripe.cache
+        with self._lock:
+            return key in self._cache
+
+    def _install(self, key: PageKey, payload: bytes) -> None:
+        """Put *payload* at the MRU end, evicting LRU pages (lock held)."""
+        cache = self._cache
+        cache[key] = payload
+        cache.move_to_end(key)
+        while len(cache) > self.capacity_pages:
+            cache.popitem(last=False)
+            self._evictions += 1
 
     def read_page(
         self,
@@ -416,12 +329,12 @@ class BufferPool:
     ) -> bytes:
         """Return the payload of page *page_no* of file *file_id*.
 
-        On a hit the page moves to the MRU end of its stripe and a buffer
-        hit is charged.  On a miss, the calling thread either becomes the
-        page's load leader — running *loader* outside every lock, then
-        installing the page (evicting its stripe's LRU page if the stripe
-        is full) — or coalesces onto an in-flight load of the same page
-        and charges a buffer hit once the leader's bytes arrive.
+        On a hit the page moves to the MRU end and a buffer hit is
+        charged.  On a miss, the calling thread either becomes the page's
+        load leader — running *loader* outside the lock, then installing
+        the page (evicting the LRU page if the pool is full) — or
+        coalesces onto an in-flight load of the same page and charges a
+        buffer hit once the leader's bytes arrive.
 
         *kind* labels the backing file (``"heap"`` or ``"sma"``) so
         physical reads split into ``heap_page_reads``/``sma_page_reads``
@@ -430,24 +343,26 @@ class BufferPool:
         binding = self._binding()
         if binding is not None:
             self._check_live(binding)
-        stats = binding.stats if binding is not None else self._default_stats
+            stats = binding.stats
+            tracker = binding.last_physical
+        else:
+            stats = self._default_stats
+            tracker = self._last_physical
         key: PageKey = (file_id, page_no)
-        stripe = self._stripe_for(key)
 
         while True:
-            load: _PageLoad | None = None
-            with stripe.lock:
-                cached = stripe.cache.get(key)
+            with self._lock:
+                cached = self._cache.get(key)
                 if cached is not None:
-                    stripe.cache.move_to_end(key)
-                    stripe.hits += 1
-                    self._charge_hit(binding, stats)
+                    self._cache.move_to_end(key)
+                    self._hits += 1
+                    stats.buffer_hits += 1
                     return cached
-                load = stripe.loads.get(key)
+                load = self._loads.get(key)
                 if load is None:
                     load = _PageLoad()
-                    stripe.loads[key] = load
-                    generation = stripe.generation
+                    self._loads[key] = load
+                    generation = self._generation
                     leader = True
                 else:
                     leader = False
@@ -460,42 +375,38 @@ class BufferPool:
                     # The leader's load failed; retry from the top (this
                     # thread may become the new leader).
                     continue
-                with stripe.lock:
-                    stripe.hits += 1
-                    if key in stripe.cache:
-                        stripe.cache.move_to_end(key)
-                self._charge_hit(binding, stats)
+                with self._lock:
+                    self._hits += 1
+                    stats.buffer_hits += 1
+                    if key in self._cache:
+                        self._cache.move_to_end(key)
                 payload = load.payload
                 assert payload is not None
                 return payload
 
-            # Leader: physical load outside every lock, with bounded
+            # Leader: physical load outside the lock, with bounded
             # retry-with-backoff for transient faults.  Followers wait on
             # the latch and never double-charge — retries are the
             # leader's alone.
             try:
                 payload = self._run_loader(loader, file_id, page_no)
             except BaseException as exc:
-                with stripe.lock:
-                    if stripe.loads.get(key) is load:
-                        del stripe.loads[key]
+                with self._lock:
+                    if self._loads.get(key) is load:
+                        del self._loads[key]
                     load.error = exc
                     load.event.set()
                 raise
 
-            self._classify_physical(binding, stats, file_id, page_no, kind)
-            with stripe.lock:
-                stripe.misses += 1
-                if stripe.loads.get(key) is load:
-                    del stripe.loads[key]
-                if stripe.generation == generation:
+            with self._lock:
+                self._misses += 1
+                self._classify_into(stats, tracker, file_id, page_no, kind)
+                if self._loads.get(key) is load:
+                    del self._loads[key]
+                if self._generation == generation:
                     # Install only if no invalidate/clear/write raced the
                     # load — a stale payload must not resurrect.
-                    stripe.cache[key] = payload
-                    stripe.cache.move_to_end(key)
-                    while len(stripe.cache) > stripe.capacity:
-                        stripe.cache.popitem(last=False)
-                        stripe.evictions += 1
+                    self._install(key, payload)
                 load.payload = payload
                 load.event.set()
             return payload
@@ -533,41 +444,24 @@ class BufferPool:
         window-partitioning invariant: summed window ``read_retries``
         always equal the growth of ``counters().retries``.
         """
-        binding = self._binding()
-        if binding is not None:
-            binding.stats.read_retries += 1
-            with self._default_lock:
-                self._retries += 1
-        else:
-            with self._default_lock:
-                self._default_stats.read_retries += 1
-                self._retries += 1
+        with self._lock:
+            self.stats.read_retries += 1
+            self._retries += 1
 
     def note_write(self, file_id: Hashable, page_no: int, payload: bytes) -> None:
         """Record a page write: charge the write and refresh the cache.
 
         The freshly written page is installed in the pool (write-through)
         so a subsequent read is a hit, as it would be in a real system.
-        Any in-flight load of this stripe is denied installation (its
-        payload may predate the write).
+        Every in-flight load is denied installation (its payload may
+        predate the write).
         """
-        binding = self._binding()
-        stats = binding.stats if binding is not None else self._default_stats
-        if binding is None:
-            with self._default_lock:
-                stats.page_writes += 1
-        else:
+        stats = self.stats
+        with self._lock:
             stats.page_writes += 1
-        key: PageKey = (file_id, page_no)
-        stripe = self._stripe_for(key)
-        with stripe.lock:
-            stripe.writes += 1
-            stripe.generation += 1
-            stripe.cache[key] = payload
-            stripe.cache.move_to_end(key)
-            while len(stripe.cache) > stripe.capacity:
-                stripe.cache.popitem(last=False)
-                stripe.evictions += 1
+            self._writes += 1
+            self._generation += 1
+            self._install((file_id, page_no), payload)
 
     # ------------------------------------------------------------------
     # cumulative counters
@@ -576,24 +470,21 @@ class BufferPool:
     def counters(self) -> BufferCounters:
         """Snapshot the cumulative hit/miss/eviction/write counters.
 
-        These accrue across every thread, stripe and query context for
-        the lifetime of the pool; diff two snapshots to get the traffic
-        of a window.  Per-query :class:`IoStats` deltas partition this
-        total: the sum of all bound windows' ``buffer_hits`` equals the
-        growth of ``hits``, and their physical ``page_reads`` the growth
-        of ``misses``.  (The snapshot locks stripes one at a time; take
-        it at a quiescent point for an exact cut.)
+        These accrue across every thread and query context for the
+        lifetime of the pool; diff two snapshots to get the traffic of a
+        window.  Per-query :class:`IoStats` deltas partition this total:
+        the sum of all bound windows' ``buffer_hits`` equals the growth
+        of ``hits``, and their physical ``page_reads`` the growth of
+        ``misses``.
         """
-        totals = BufferCounters()
-        for stripe in self._stripes:
-            with stripe.lock:
-                totals.hits += stripe.hits
-                totals.misses += stripe.misses
-                totals.evictions += stripe.evictions
-                totals.writes += stripe.writes
-        with self._default_lock:
-            totals.retries = self._retries
-        return totals
+        with self._lock:
+            return BufferCounters(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                writes=self._writes,
+                retries=self._retries,
+            )
 
     # ------------------------------------------------------------------
     # maintenance
@@ -602,32 +493,23 @@ class BufferPool:
     def invalidate(self, file_id: Hashable, page_no: int | None = None) -> None:
         """Drop one page, or every page of a file when *page_no* is None.
 
-        Bumps the generation of every touched stripe so concurrent loads
-        that started before the invalidation cannot install stale bytes.
+        Bumps the generation so concurrent loads that started before the
+        invalidation cannot install stale bytes.
         """
-        if page_no is not None:
-            key: PageKey = (file_id, page_no)
-            stripe = self._stripe_for(key)
-            with stripe.lock:
-                stripe.cache.pop(key, None)
-                stripe.generation += 1
-            return
-        for stripe in self._stripes:
-            with stripe.lock:
-                doomed = [key for key in stripe.cache if key[0] == file_id]
-                for key in doomed:
-                    del stripe.cache[key]
-                stripe.generation += 1
-        with self._default_lock:
+        with self._lock:
+            self._generation += 1
+            if page_no is not None:
+                self._cache.pop((file_id, page_no), None)
+                return
+            for key in [key for key in self._cache if key[0] == file_id]:
+                del self._cache[key]
             self._last_physical.pop(file_id, None)
 
     def clear(self) -> None:
         """Empty the pool — the 'cold' switch for cold/warm experiments."""
-        for stripe in self._stripes:
-            with stripe.lock:
-                stripe.cache.clear()
-                stripe.generation += 1
-        with self._default_lock:
+        with self._lock:
+            self._cache.clear()
+            self._generation += 1
             self._last_physical.clear()
 
     def reset_sequence_tracking(self) -> None:
@@ -642,5 +524,5 @@ class BufferPool:
         if binding is not None:
             binding.last_physical.clear()
             return
-        with self._default_lock:
+        with self._lock:
             self._last_physical.clear()

@@ -17,8 +17,9 @@ from repro.errors import CatalogError
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile
 from repro.storage.integrity import IntegrityMonitor
-from repro.storage.page import DEFAULT_PAGE_HEADER, DEFAULT_PAGE_SIZE
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.storage.schema import Schema
+from repro.storage.sidecar import write_atomic
 from repro.storage.stats import IoStats
 from repro.storage.table import Table, TableView
 
@@ -36,7 +37,6 @@ class Catalog:
         root_dir: str,
         *,
         buffer_pages: int = 2048,
-        stripes: int | None = None,
         read_only: bool = False,
     ):
         os.makedirs(root_dir, exist_ok=True)
@@ -45,9 +45,7 @@ class Catalog:
         #: manifest, even on registration during :meth:`discover`.
         self.read_only = read_only
         self.stats = IoStats()
-        self.pool = BufferPool(
-            capacity_pages=buffer_pages, stats=self.stats, stripes=stripes
-        )
+        self.pool = BufferPool(capacity_pages=buffer_pages, stats=self.stats)
         #: Integrity accounting: the planner records SMA quarantines here
         #: and services subscribe for events/metrics (see
         #: :mod:`repro.storage.integrity`).
@@ -111,11 +109,11 @@ class Catalog:
         }
         # Atomic replace: concurrent readers (spawning scan worker
         # processes re-running discovery) must never observe a
-        # truncated manifest mid-rewrite.
-        tmp_path = self._manifest_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=1)
-        os.replace(tmp_path, self._manifest_path)
+        # truncated manifest mid-rewrite, and the manifest is durable
+        # before ``apply_dml`` retires the batch's intent.
+        write_atomic(
+            self._manifest_path, json.dumps(manifest, indent=1).encode()
+        )
 
     @classmethod
     def discover(
@@ -123,7 +121,6 @@ class Catalog:
         root_dir: str,
         *,
         buffer_pages: int = 2048,
-        stripes: int | None = None,
         fault_injector=None,
         read_only: bool = False,
     ) -> "Catalog":
@@ -139,12 +136,7 @@ class Catalog:
         the file."""
         from repro.core.sma_set import SmaSet
 
-        catalog = cls(
-            root_dir,
-            buffer_pages=buffer_pages,
-            stripes=stripes,
-            read_only=read_only,
-        )
+        catalog = cls(root_dir, buffer_pages=buffer_pages, read_only=read_only)
         if fault_injector is not None:
             catalog.install_fault_injector(fault_injector)
         manifest = catalog._load_manifest()
@@ -172,7 +164,6 @@ class Catalog:
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         pages_per_bucket: int = 1,
-        page_header: int = DEFAULT_PAGE_HEADER,
         clustered_on: str | None = None,
     ) -> Table:
         """Create an empty table backed by a new heap file."""
@@ -185,7 +176,6 @@ class Catalog:
             self.pool,
             page_size=page_size,
             pages_per_bucket=pages_per_bucket,
-            page_header=page_header,
         )
         table = Table(name, heap, clustered_on=clustered_on)
         self._tables[name] = table
@@ -221,15 +211,6 @@ class Catalog:
     def tables(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
-    def drop_table(self, name: str) -> None:
-        table = self.table(name)
-        for sma_set in list(self._sma_sets.get(name, {}).values()):
-            sma_set.delete_files()
-        self._sma_sets.pop(name, None)
-        table.heap.delete_files()
-        del self._tables[name]
-        self._save_manifest()
-
     # ------------------------------------------------------------------
     # SMA sets
     # ------------------------------------------------------------------
@@ -258,12 +239,6 @@ class Catalog:
     def sma_sets(self, table_name: str) -> list["SmaSet"]:
         self.table(table_name)
         return list(self._sma_sets.get(table_name, {}).values())
-
-    def drop_sma_set(self, table_name: str, set_name: str) -> None:
-        sma_set = self.sma_set(table_name, set_name)
-        sma_set.delete_files()
-        del self._sma_sets[table_name][set_name]
-        self._save_manifest()
 
     # ------------------------------------------------------------------
     # ingest epochs & snapshot views

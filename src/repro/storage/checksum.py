@@ -1,102 +1,19 @@
-"""Pluggable page-checksum codec (CRC32C with a zlib CRC32 fast path).
+"""The page and SMA-body checksum: zlib CRC-32.
 
-Every checksummed file records which algorithm produced its checksums
-(``checksum_algo`` in its meta sidecar), so readers always verify with
-the writer's algorithm and files stay portable across installations.
-
-Two algorithms are supported:
-
-``crc32c``
-    The Castagnoli polynomial (0x1EDC6F41, reflected 0x82F63B78) used by
-    iSCSI, ext4, and most modern storage systems.  When the optional C
-    extension ``crc32c`` is importable it is used; otherwise a pure-python
-    table-driven implementation is used.  The pure-python fallback is
-    correct but slow (~1 ms per 4 KB page), so it is never picked as a
-    *default* — only honoured when a file declares it.
-
-``crc32``
-    zlib's CRC-32 (polynomial 0x04C11DB7).  Identical 32-bit corruption
-    detection strength for single-page protection and ~2 µs per 4 KB
-    page in the standard library, so this is the default whenever the C
-    crc32c extension is unavailable.
-
-Environment knobs:
-
-``REPRO_PAGE_CHECKSUMS=0``
-    Disable checksums on newly created files (used by the EXPERIMENTS.md
-    overhead measurement).  Existing checksummed files are still verified.
-
-``REPRO_CHECKSUM_ALGO=crc32c|crc32``
-    Force the default algorithm for newly created files.
+Every heap page and every SMA-file body carries one CRC-32 (polynomial
+0x04C11DB7, ~2 µs per 4 KB page in the standard library).  Both meta
+sidecars record the algorithm's name as ``checksum_algo``; a file that
+records anything else is a format this code does not read.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 
-from repro.errors import StorageError
-
-try:  # optional C extension; never installed on demand
-    import crc32c as _crc32c_ext  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - depends on environment
-    _crc32c_ext = None
-
-ALGORITHMS = ("crc32c", "crc32")
-
-_CRC32C_POLY = 0x82F63B78
-_crc32c_table: list[int] | None = None
+#: The name both meta sidecars record as ``checksum_algo``.
+ALGORITHM = "crc32"
 
 
-def _build_crc32c_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ _CRC32C_POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-def crc32c_py(data: bytes, crc: int = 0) -> int:
-    """Pure-python table-driven CRC32C (Castagnoli), matching the C ext."""
-    global _crc32c_table
-    if _crc32c_table is None:
-        _crc32c_table = _build_crc32c_table()
-    table = _crc32c_table
-    crc = (crc ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return (crc ^ 0xFFFFFFFF) & 0xFFFFFFFF
-
-
-def checksum(data: bytes, algo: str) -> int:
-    """Checksum ``data`` with the named algorithm (32-bit unsigned)."""
-    if algo == "crc32":
-        return zlib.crc32(data) & 0xFFFFFFFF
-    if algo == "crc32c":
-        if _crc32c_ext is not None:
-            return _crc32c_ext.crc32c(data) & 0xFFFFFFFF
-        return crc32c_py(data)
-    raise StorageError(f"unknown checksum algorithm {algo!r}")
-
-
-def checksums_enabled() -> bool:
-    """Whether newly created files should carry page checksums."""
-    return os.environ.get("REPRO_PAGE_CHECKSUMS", "1") != "0"
-
-
-def default_algorithm() -> str | None:
-    """Algorithm for newly created files, or None when disabled.
-
-    Prefers hardware/C-extension CRC32C; falls back to zlib CRC32 so the
-    write and cold-load paths never pay a ~450x pure-python penalty.
-    """
-    if not checksums_enabled():
-        return None
-    forced = os.environ.get("REPRO_CHECKSUM_ALGO")
-    if forced:
-        if forced not in ALGORITHMS:
-            raise StorageError(f"unknown checksum algorithm {forced!r}")
-        return forced
-    return "crc32c" if _crc32c_ext is not None else "crc32"
+def checksum(data: bytes) -> int:
+    """CRC-32 of *data* as a 32-bit unsigned integer."""
+    return zlib.crc32(data) & 0xFFFFFFFF

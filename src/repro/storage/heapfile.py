@@ -3,24 +3,21 @@
 The on-disk format is deliberately simple and matches the paper's model:
 
 * the data file is a sequence of fixed-size pages;
-* each page starts with a small header whose first 4 bytes hold the
-  page's record count (little-endian uint32); format v2 files store a
-  32-bit page checksum at header bytes [4:8] (computed with that field
-  zeroed), followed by packed fixed-width records — records never span
-  pages;
+* each page starts with a 32-byte header whose first 4 bytes hold the
+  page's record count (little-endian uint32) and whose bytes [4:8] hold
+  the page's CRC-32 (computed with that field zeroed), followed by
+  packed fixed-width records — records never span pages;
 * a *bucket* is ``pages_per_bucket`` consecutive pages; the order of
   buckets in the file is the physical order SMA-file entries mirror.
 
 A JSON sidecar (``<path>.meta.json``) persists the schema, layout,
-record count, format version and checksum algorithm; a numpy sidecar
-(``<path>.counts.npy``) persists per-bucket record counts so they are
-known without touching data pages.
+record count, format version (2) and checksum algorithm (``crc32``); a
+numpy sidecar (``<path>.counts.npy``) persists per-bucket record counts
+so they are known without touching data pages.  :meth:`HeapFile.open`
+refuses any other format.
 
 Checksums are verified on every *physical* load (the buffer pool's
-single-flight loader); cache hits serve already-verified bytes.  Format
-v1 files (no ``format_version`` in the meta sidecar) open and read
-unverified; ``migrate_to_checksums`` — or ``repro verify --repair`` —
-upgrades them in place.
+single-flight loader); cache hits serve already-verified bytes.
 
 All reads go through a :class:`~repro.storage.buffer.BufferPool`, which
 does the warm/cold caching and the sequential/random accounting.
@@ -28,6 +25,7 @@ does the warm/cold caching and the sequential/random accounting.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -38,18 +36,19 @@ import numpy as np
 
 from repro.errors import ChecksumError, StorageError, TornWriteError
 from repro.storage.buffer import BufferPool
+from repro.storage.checksum import ALGORITHM
 from repro.storage.checksum import checksum as compute_checksum
-from repro.storage.checksum import default_algorithm
-from repro.storage.page import BucketLayout, DEFAULT_PAGE_HEADER, DEFAULT_PAGE_SIZE
+from repro.storage.page import BucketLayout, DEFAULT_PAGE_SIZE
 from repro.storage.schema import Schema
+from repro.storage.sidecar import write_atomic
 
 _COUNT_STRUCT = struct.Struct("<I")
 _CRC_STRUCT = struct.Struct("<I")
-#: Byte range of the page checksum inside the page header (v2 format).
+#: Byte range of the page checksum inside the page header.
 _CRC_OFFSET = 4
 _META_SUFFIX = ".meta.json"
 _COUNTS_SUFFIX = ".counts.npy"
-#: Current on-disk format: v2 = checksummed pages; v1 = legacy, none.
+#: The on-disk format: checksummed pages.
 FORMAT_VERSION = 2
 
 
@@ -67,21 +66,17 @@ class HeapFile:
         layout: BucketLayout,
         pool: BufferPool,
         bucket_counts: np.ndarray,
-        checksum_algo: str | None = None,
     ):
         self.path = path
         self.schema = schema
         self.layout = layout
         self.pool = pool
-        #: Page-checksum algorithm, or None for legacy v1 files (pages
-        #: are then read unverified — see :meth:`migrate_to_checksums`).
-        self.checksum_algo = checksum_algo
         self.file_id = os.path.abspath(path)
         self._bucket_counts = bucket_counts.astype(np.int64, copy=True)
         # Unbuffered: writes reach the OS immediately and positional
         # reads (os.pread) see them — required because the buffer pool
-        # runs loaders *outside* its stripe locks, so page loads of one
-        # file may execute concurrently on this shared handle.
+        # runs loaders *outside* its lock, so page loads of one file may
+        # execute concurrently on this shared handle.
         self._handle = open(path, "r+b", buffering=0)
         self._closed = False
         # Serializes sidecar flushes: the process-scan dispatcher
@@ -115,27 +110,18 @@ class HeapFile:
         *,
         page_size: int = DEFAULT_PAGE_SIZE,
         pages_per_bucket: int = 1,
-        page_header: int = DEFAULT_PAGE_HEADER,
     ) -> "HeapFile":
-        """Create a new, empty heap file at *path* (v2, checksummed).
-
-        Checksums need 8 header bytes (count + CRC); a smaller custom
-        header — or ``REPRO_PAGE_CHECKSUMS=0`` — creates an unchecksummed
-        file.
-        """
+        """Create a new, empty heap file at *path*."""
         if os.path.exists(path):
             raise StorageError(f"{path} already exists")
         layout = BucketLayout(
             record_width=schema.record_width,
             page_size=page_size,
             pages_per_bucket=pages_per_bucket,
-            page_header=page_header,
         )
-        algo = default_algorithm() if page_header >= 8 else None
         with open(path, "wb"):
             pass
-        heap = cls(path, schema, layout, pool, np.zeros(0, dtype=np.int64),
-                   checksum_algo=algo)
+        heap = cls(path, schema, layout, pool, np.zeros(0, dtype=np.int64))
         heap.flush()
         return heap
 
@@ -147,6 +133,13 @@ class HeapFile:
             raise StorageError(f"no heap-file metadata at {meta_path}")
         with open(meta_path, "r", encoding="utf-8") as f:
             meta = json.load(f)
+        found = (meta.get("format_version"), meta.get("checksum_algo"))
+        if found != (FORMAT_VERSION, ALGORITHM):
+            raise StorageError(
+                f"{path} is heap format {found[0]!r} with checksum "
+                f"{found[1]!r}; only format {FORMAT_VERSION} with "
+                f"{ALGORITHM!r} is readable"
+            )
         schema = Schema.from_dict(meta["schema"])
         layout = BucketLayout(
             record_width=schema.record_width,
@@ -155,15 +148,12 @@ class HeapFile:
             page_header=meta["page_header"],
         )
         counts = np.load(path + _COUNTS_SUFFIX)
-        # v1 files carry no format_version: their pages have no checksum
-        # and are read unverified.
-        algo = meta.get("checksum_algo") if meta.get("format_version", 1) >= 2 else None
-        return cls(path, schema, layout, pool, counts, checksum_algo=algo)
+        return cls(path, schema, layout, pool, counts)
 
     def flush(self) -> None:
         """Persist metadata sidecars and flush the data file.
 
-        Both sidecars go down atomically (tmp + replace): the ingest
+        Both sidecars go down through :func:`write_atomic`: the ingest
         path flushes after every DML batch, and a crash mid-write must
         never leave a half-written meta or counts file — there is no
         tolerant open path for those.
@@ -176,24 +166,13 @@ class HeapFile:
                 "pages_per_bucket": self.layout.pages_per_bucket,
                 "page_header": self.layout.page_header,
                 "num_records": int(self._bucket_counts.sum()),
-                "format_version": FORMAT_VERSION if self.checksum_algo else 1,
+                "format_version": FORMAT_VERSION,
+                "checksum_algo": ALGORITHM,
             }
-            if self.checksum_algo:
-                meta["checksum_algo"] = self.checksum_algo
-            meta_path = self.path + _META_SUFFIX
-            tmp = meta_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(meta, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, meta_path)
-            counts_path = self.path + _COUNTS_SUFFIX
-            tmp = counts_path + ".tmp"
-            with open(tmp, "wb") as f:
-                np.save(f, self._bucket_counts)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, counts_path)
+            write_atomic(self.path + _META_SUFFIX, json.dumps(meta).encode())
+            counts = io.BytesIO()
+            np.save(counts, self._bucket_counts)
+            write_atomic(self.path + _COUNTS_SUFFIX, counts.getvalue())
 
     @property
     def closed(self) -> bool:
@@ -268,14 +247,12 @@ class HeapFile:
         """Checksum of a full page with the CRC field itself zeroed."""
         blank = bytearray(payload)
         blank[_CRC_OFFSET:_CRC_OFFSET + 4] = b"\x00\x00\x00\x00"
-        return compute_checksum(bytes(blank), self.checksum_algo)
+        return compute_checksum(bytes(blank))
 
     def _page_bytes(self, records: np.ndarray) -> bytes:
         header = _COUNT_STRUCT.pack(len(records)).ljust(self.layout.page_header, b"\x00")
         body = records.tobytes()
         page = (header + body).ljust(self.layout.page_size, b"\x00")
-        if self.checksum_algo is None:
-            return page
         crc = self._page_checksum(page)
         return (
             page[:_CRC_OFFSET]
@@ -312,7 +289,7 @@ class HeapFile:
         self._handle.seek(page_no * self.layout.page_size)
         self._handle.write(payload)
 
-    def _load_page(self, page_no: int, *, verify: bool = True) -> bytes:
+    def _load_page(self, page_no: int) -> bytes:
         # Positional read: no shared file-position state, so concurrent
         # single-flight loads of different pages never interfere.
         injector = self.pool.fault_injector
@@ -337,19 +314,18 @@ class HeapFile:
                 f"short read of page {page_no} in {self.path}: "
                 f"{len(payload)}/{self.layout.page_size} bytes"
             )
-        if verify and self.checksum_algo is not None:
-            (stored,) = _CRC_STRUCT.unpack_from(payload, _CRC_OFFSET)
-            actual = self._page_checksum(payload)
-            if stored != actual:
-                raise ChecksumError(
-                    f"checksum mismatch on page {page_no} of {self.path}: "
-                    f"stored {stored:#010x}, computed {actual:#010x} "
-                    f"({self.checksum_algo})",
-                    path=self.path, page_no=page_no,
-                )
+        (stored,) = _CRC_STRUCT.unpack_from(payload, _CRC_OFFSET)
+        actual = self._page_checksum(payload)
+        if stored != actual:
+            raise ChecksumError(
+                f"checksum mismatch on page {page_no} of {self.path}: "
+                f"stored {stored:#010x}, computed {actual:#010x} "
+                f"({ALGORITHM})",
+                path=self.path, page_no=page_no,
+            )
         return payload
 
-    def read_page_raw(self, page_no: int, *, verify: bool = True) -> bytes:
+    def read_page_raw(self, page_no: int) -> bytes:
         """Read one page's raw bytes directly from disk (verification API).
 
         Bypasses the buffer pool and charges nothing — ``repro verify``
@@ -359,38 +335,7 @@ class HeapFile:
             raise StorageError(
                 f"page {page_no} out of range [0, {self.num_pages})"
             )
-        return self._load_page(page_no, verify=verify)
-
-    def migrate_to_checksums(self, algo: str | None = None) -> int:
-        """Upgrade a legacy v1 file to checksummed v2 pages, in place.
-
-        Rewrites every page with a checksum under *algo* (default: the
-        environment's default algorithm) and persists the new format in
-        the meta sidecar.  Returns the number of pages rewritten.
-        Already-v2 files are a no-op.
-        """
-        if self.checksum_algo is not None:
-            return 0
-        if self.layout.page_header < 8:
-            raise StorageError(
-                f"page header of {self.path} is {self.layout.page_header} "
-                f"bytes; checksums need at least 8"
-            )
-        self.checksum_algo = algo or default_algorithm() or "crc32"
-        rewritten = 0
-        for page_no in range(self.num_pages):
-            raw = self._load_page(page_no, verify=False)
-            crc = self._page_checksum(raw)
-            payload = (
-                raw[:_CRC_OFFSET]
-                + _CRC_STRUCT.pack(crc)
-                + raw[_CRC_OFFSET + 4:]
-            )
-            self._persist_page(page_no, payload)
-            self.pool.note_write(self.file_id, page_no, payload)
-            rewritten += 1
-        self.flush()
-        return rewritten
+        return self._load_page(page_no)
 
     def _decode_page(self, payload: bytes) -> np.ndarray:
         (count,) = _COUNT_STRUCT.unpack_from(payload, 0)

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.errors import ChecksumError, StorageError
 from repro.storage.heapfile import HeapFile
+from repro.storage.sidecar import write_atomic
 
 #: Sidecar suffix: ``LINEITEM.heap`` -> ``LINEITEM.heap.intent.json``.
 INTENT_SUFFIX = ".intent.json"
@@ -96,14 +97,9 @@ def intent_path(heap_path: str) -> str:
 
 
 def write_intent(heap: HeapFile, intent: IngestIntent) -> str:
-    """Persist *intent* atomically (tmp + replace) before any data write."""
+    """Persist *intent* atomically before any data write."""
     path = intent_path(heap.path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(intent.to_json(), handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(intent.to_json()).encode())
     return path
 
 

@@ -106,11 +106,3 @@ class BucketLayout:
         """On-disk bytes needed to hold *num_records* records."""
         return self.pages_for(num_records) * self.page_size
 
-    def with_pages_per_bucket(self, pages_per_bucket: int) -> "BucketLayout":
-        """A copy of this layout with a different bucket size."""
-        return BucketLayout(
-            record_width=self.record_width,
-            page_size=self.page_size,
-            pages_per_bucket=pages_per_bucket,
-            page_header=self.page_header,
-        )

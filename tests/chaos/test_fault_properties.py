@@ -3,8 +3,8 @@
 Hypothesis drives random payloads and access sequences through the two
 foundations the chaos layer rests on:
 
-* the checksum codec must be deterministic and must detect every
-  single-bit flip (a CRC-32 guarantee, for both polynomials we ship);
+* the checksum must be deterministic and must detect every single-bit
+  flip (a CRC-32 guarantee);
 * a :class:`~repro.storage.faults.FaultInjector` must produce the exact
   same schedule for the same seed regardless of directory prefixes or
   payload identity — determinism is what makes differential testing
@@ -22,40 +22,27 @@ from hypothesis import strategies as st
 
 from repro.core.sma_file import SmaFile
 from repro.storage.buffer import BufferPool
-from repro.storage.checksum import ALGORITHMS, checksum, crc32c_py
+from repro.storage.checksum import checksum
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.stats import IoStats
 
 
 class TestChecksumCodec:
-    @given(data=st.binary(max_size=512), algo=st.sampled_from(ALGORITHMS))
-    def test_deterministic(self, data, algo):
-        assert checksum(data, algo) == checksum(data, algo)
-        assert 0 <= checksum(data, algo) <= 0xFFFFFFFF
+    @given(data=st.binary(max_size=512))
+    def test_deterministic(self, data):
+        assert checksum(data) == checksum(data)
+        assert 0 <= checksum(data) <= 0xFFFFFFFF
 
     @given(
         data=st.binary(min_size=1, max_size=256),
         position=st.integers(min_value=0),
         bit=st.integers(min_value=0, max_value=7),
-        algo=st.sampled_from(ALGORITHMS),
     )
-    def test_single_bit_flip_always_detected(self, data, position, bit, algo):
-        """CRC-32 (either polynomial) catches every 1-bit error."""
+    def test_single_bit_flip_always_detected(self, data, position, bit):
+        """CRC-32 catches every 1-bit error."""
         flipped = bytearray(data)
         flipped[position % len(data)] ^= 1 << bit
-        assert checksum(bytes(flipped), algo) != checksum(data, algo)
-
-    @given(data=st.binary(max_size=128))
-    def test_crc32c_incremental_matches_one_shot(self, data):
-        """Feeding bytes one at a time equals hashing the whole buffer."""
-        rolling = 0
-        for i in range(len(data)):
-            rolling = crc32c_py(data[i : i + 1], rolling)
-        assert rolling == crc32c_py(data)
-
-    def test_crc32c_known_vector(self):
-        # RFC 3720 test vector: 32 zero bytes.
-        assert crc32c_py(b"\x00" * 32) == 0x8A9136AA
+        assert checksum(bytes(flipped)) != checksum(data)
 
 
 #: Deterministic access-sequence strategy: (basename, page) pairs.

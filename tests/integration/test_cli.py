@@ -83,7 +83,6 @@ class TestCountOptions:
     @pytest.mark.parametrize("command, flag, value", [
         ("query", "--scan-workers", "0"),
         ("query", "--buffer-pages", "0"),
-        ("query", "--stripes", "0"),
         ("serve", "--workers", "0"),
         ("serve", "--queue", "-1"),
         ("serve", "--clients", "0"),

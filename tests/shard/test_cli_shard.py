@@ -135,7 +135,7 @@ class TestServeSharded:
         assert {"router_start", "query_finish", "trace", "query_ledger"} <= kinds
 
     @pytest.mark.parametrize("flag", [
-        ("--slow-ms", "5"), ("--stripes", "4"), ("--fault-events", "faults.jsonl"),
+        ("--slow-ms", "5"), ("--fault-events", "faults.jsonl"),
     ])
     def test_single_node_only_flag_is_refused_not_dropped(
         self, cli_env, capsys, flag

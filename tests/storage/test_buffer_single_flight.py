@@ -1,15 +1,16 @@
-"""Striped buffer pool: single-flight loads, striping, races (ISSUE PR 2).
+"""Buffer pool: one LRU, single-flight loads, races.
 
-Covers the tentpole's concurrency contract:
+Covers the pool's concurrency contract:
 
+* one LRU — the whole capacity is usable by any access pattern, and hit
+  counts depend only on the access sequence, never on file ids;
 * single-flight — concurrent readers of one missing page coalesce onto
   exactly one physical load: one miss charged to the leader, a buffer
   hit to every follower, and the loader runs once;
 * per-query IoStats windows *partition* the cumulative counters under
-  16 threads on an explicitly striped pool (property-tested over random
-  access patterns);
+  16 threads (property-tested over random access patterns);
 * eviction pressure — capacity far below the working set deadlocks
-  nothing and every stripe stays within its LRU bound;
+  nothing and the pool stays within its capacity;
 * invalidate/note_write racing an in-flight load can never resurrect
   stale bytes (the generation guard).
 """
@@ -17,15 +18,10 @@ Covers the tentpole's concurrency contract:
 import random
 import threading
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
-from repro.storage.buffer import (
-    MAX_AUTO_STRIPES,
-    PAGES_PER_AUTO_STRIPE,
-    BufferPool,
-)
+from repro.storage.buffer import BufferPool
 from repro.storage.stats import IoStats
 
 
@@ -37,41 +33,34 @@ def loader_for(file_id, page_no):
     return lambda: payload_for(file_id, page_no)
 
 
-class TestStriping:
-    def test_explicit_stripes_partition_capacity(self):
-        pool = BufferPool(capacity_pages=10, stripes=4)
-        assert pool.num_stripes == 4
-        capacities = pool.stripe_capacities()
-        assert sum(capacities) == 10
-        assert max(capacities) - min(capacities) <= 1
-        assert all(c >= 1 for c in capacities)
+def read_all(pool, accesses) -> int:
+    """Read every ``(file_id, page_no)`` of *accesses*; return the hits."""
+    before = pool.counters().hits
+    for file_id, page in accesses:
+        pool.read_page(file_id, page, loader_for(file_id, page))
+    return pool.counters().hits - before
 
-    def test_auto_striping_scales_with_capacity(self):
-        # Tiny pools keep one stripe — exact global LRU for unit tests.
-        assert BufferPool(capacity_pages=2).num_stripes == 1
-        assert BufferPool(capacity_pages=PAGES_PER_AUTO_STRIPE - 1).num_stripes == 1
-        assert BufferPool(capacity_pages=4 * PAGES_PER_AUTO_STRIPE).num_stripes == 4
-        # The paper's default 2048-page pool stripes fully.
-        assert BufferPool(capacity_pages=2048).num_stripes == MAX_AUTO_STRIPES
 
-    def test_stripes_clamped_to_capacity(self):
-        pool = BufferPool(capacity_pages=3, stripes=8)
-        assert pool.num_stripes == 3
-        assert pool.stripe_capacities() == [1, 1, 1]
+class TestOneLru:
+    def test_strided_reads_use_the_whole_capacity(self):
+        pool = BufferPool(capacity_pages=256)
+        strided = [("f", page) for page in range(0, 512, 2)]
+        assert read_all(pool, strided) == 0
+        assert len(pool) == 256
+        assert read_all(pool, strided) == 256
 
-    def test_invalid_stripes_rejected(self):
-        with pytest.raises(StorageError):
-            BufferPool(capacity_pages=4, stripes=0)
+    def test_hit_count_does_not_depend_on_file_ids(self):
+        # 128 even pages of each of two files, read twice: 256 distinct
+        # pages fit a 256-page pool whatever the two files are called.
+        hits = []
+        for ids in [(0, 1), (0, 2)]:
+            pool = BufferPool(capacity_pages=256)
+            sequence = [(f, page) for f in ids for page in range(0, 256, 2)]
+            hits.append(read_all(pool, sequence * 2))
+        assert hits == [256, 256]
 
-    def test_consecutive_pages_round_robin_across_stripes(self):
-        pool = BufferPool(capacity_pages=64, stripes=4)
-        for page in range(8):
-            pool.read_page("f", page, loader_for("f", page))
-        # 8 consecutive pages over 4 stripes: exactly 2 pages per stripe.
-        assert pool.stripe_lengths() == [2, 2, 2, 2]
-
-    def test_contains_len_and_counters_across_stripes(self):
-        pool = BufferPool(capacity_pages=64, stripes=4)
+    def test_contains_len_and_counters(self):
+        pool = BufferPool(capacity_pages=64)
         for page in range(6):
             pool.read_page("f", page, loader_for("f", page))
         pool.read_page("f", 0, loader_for("f", 0))
@@ -88,7 +77,7 @@ class TestSingleFlight:
         """ISSUE satellite: exactly one miss + one physical load is
         charged for N concurrent readers of one missing page; the other
         N-1 accesses are buffer hits."""
-        pool = BufferPool(capacity_pages=64, stripes=4)
+        pool = BufferPool(capacity_pages=64)
         load_calls = []
         started = threading.Event()
         release = threading.Event()
@@ -177,10 +166,10 @@ class TestSingleFlight:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_sixteen_thread_partition_property(self, seed):
         """Property (ISSUE satellite): under 16 threads with random page
-        access patterns on an explicitly striped pool, the per-query
-        window deltas partition the cumulative counters exactly."""
+        access patterns, the per-query window deltas partition the
+        cumulative counters exactly."""
         threads_n, accesses = 16, 60
-        pool = BufferPool(capacity_pages=48, stripes=8)
+        pool = BufferPool(capacity_pages=48)
         rng = random.Random(seed)
         patterns = [
             [
@@ -223,8 +212,8 @@ class TestEvictionPressure:
     def test_capacity_below_working_set_no_deadlock(self):
         """ISSUE satellite: 8 threads stream working sets far larger
         than the pool; nothing deadlocks, payloads stay correct, and
-        every stripe respects its own LRU bound throughout."""
-        pool = BufferPool(capacity_pages=16, stripes=4)
+        the pool respects its capacity throughout."""
+        pool = BufferPool(capacity_pages=16)
         threads_n, pages = 8, 120
         barrier = threading.Barrier(threads_n)
         bad: list = []
@@ -237,12 +226,11 @@ class TestEvictionPressure:
                 got = pool.read_page(own, page, loader_for(own, page))
                 if got != payload_for(own, page):
                     bad.append((own, page))
-                # Shared pages keep all stripes contended.
+                # Shared pages keep the lock contended.
                 pool.read_page("shared", page % 8, loader_for("shared", page % 8))
-                lengths = pool.stripe_lengths()
-                caps = pool.stripe_capacities()
-                if any(n > c for n, c in zip(lengths, caps)):
-                    bounds_violations.append((page, lengths))
+                held = len(pool)
+                if held > pool.capacity_pages:
+                    bounds_violations.append((page, held))
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(threads_n)

@@ -1,5 +1,7 @@
 """Unit tests for the catalog."""
 
+import os
+
 import pytest
 
 from repro.errors import CatalogError
@@ -28,16 +30,6 @@ class TestTables:
         catalog.create_table("A", SALES_SCHEMA)
         catalog.create_table("B", Schema.of(("x", INT32)))
         assert {t.name for t in catalog.tables()} == {"A", "B"}
-
-    def test_drop_table_removes_files(self, catalog, tmp_path):
-        import os
-
-        table = catalog.create_table("T", SALES_SCHEMA)
-        path = table.heap.path
-        table.append_rows(sales_rows(10))
-        catalog.drop_table("T")
-        assert not catalog.has_table("T")
-        assert not os.path.exists(path)
 
     def test_open_table_roundtrip(self, tmp_path):
         root = str(tmp_path / "db")
@@ -74,14 +66,6 @@ class TestSmaRegistry:
         with pytest.raises(CatalogError, match="no SMA set"):
             catalog.sma_set("SALES", "ghost")
 
-    def test_drop_sma_set(self, catalog, sales_table, sales_sma_set):
-        catalog.drop_sma_set("SALES", "default")
-        assert catalog.sma_sets("SALES") == []
-
-    def test_drop_table_drops_its_sets(self, catalog, sales_table, sales_sma_set):
-        catalog.drop_table("SALES")
-        assert not catalog.has_table("SALES")
-
 
 class TestStatsAndCold:
     def test_go_cold_empties_pool(self, catalog, sales_table):
@@ -106,3 +90,28 @@ class TestStatsAndCold:
         import os
 
         assert os.path.isdir(catalog.sma_dir("SALES"))
+
+
+class TestManifestDurability:
+    def test_bump_ingest_epoch_fsyncs_the_manifest_before_replacing_it(
+        self, catalog, monkeypatch
+    ):
+        catalog.create_table("T", SALES_SCHEMA)
+        manifest = os.path.abspath(os.path.join(catalog.root_dir, Catalog.MANIFEST))
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.abspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert catalog.bump_ingest_epoch("T") == 1
+        synced = ("fsync", os.stat(manifest).st_ino)
+        assert synced in calls
+        assert calls.index(synced) < calls.index(("replace", manifest))

@@ -42,12 +42,6 @@ class TestLayoutArithmetic:
         with pytest.raises(StorageError):
             BucketLayout(record_width=8).buckets_for(-1)
 
-    def test_with_pages_per_bucket(self):
-        layout = BucketLayout(record_width=8)
-        wider = layout.with_pages_per_bucket(8)
-        assert wider.pages_per_bucket == 8
-        assert wider.record_width == 8
-
 
 class TestValidation:
     def test_record_must_fit_page(self):
