@@ -58,6 +58,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for a scale, rate or duration that must exceed 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _open_catalog(path: str, buffer_pages: int) -> Catalog:
     return Catalog.discover(path, buffer_pages=buffer_pages)
 
@@ -453,7 +461,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         common = dict(
             workers=args.workers,
             queue_depth=args.queue,
-            default_timeout_s=args.timeout if args.timeout and args.timeout > 0 else None,
+            default_timeout_s=args.timeout,
             tracer=Tracer() if event_log is not None else None,
             events=event_log,
             result_cache=args.result_cache,
@@ -611,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_load = sub.add_parser("load", help="generate and load TPC-D data")
     add_db(p_load)
-    p_load.add_argument("--sf", type=float, default=0.01, help="scale factor")
+    p_load.add_argument("--sf", type=positive_float, default=0.01, help="scale factor")
     p_load.add_argument(
         "--clustering", choices=("sorted", "toc", "uniform"), default="sorted"
     )
@@ -687,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="closed-loop client threads (default 8)")
     p_serve.add_argument("--queries", type=positive_int, default=64,
                          help="total queries to replay (default 64)")
-    p_serve.add_argument("--rate", type=float, default=None,
+    p_serve.add_argument("--rate", type=positive_float, default=None,
                          help="open-loop arrival rate in queries/s "
                          "(default: closed loop)")
     add_scan(p_serve)
@@ -695,9 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cache finalized results by plan fingerprint "
                          "(invalidated on ingest epoch advance and SMA "
                          "quarantine)")
-    p_serve.add_argument("--cache-entries", type=int, default=256,
+    p_serve.add_argument("--cache-entries", type=positive_int, default=256,
                          help="result cache capacity in entries (default 256)")
-    p_serve.add_argument("--timeout", type=float, default=None,
+    p_serve.add_argument("--timeout", type=positive_float, default=None,
                          help="per-query timeout in seconds (default: none)")
     p_serve.add_argument("--report", action="store_true",
                          help="print the full metrics report")
@@ -716,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--linger", type=float, default=0.0,
                          help="keep the metrics endpoint up this many "
                          "seconds after the workload finishes")
-    p_serve.add_argument("--shards", type=int, default=None,
+    p_serve.add_argument("--shards", type=positive_int, default=None,
                          help="treat --db as a sharded root (from `repro "
                          "shard-init`): launch this many local shard worker "
                          "processes and scatter-gather through the router; "
@@ -736,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_db(p_shard_init)
     p_shard_init.add_argument("--out", required=True,
                               help="sharded root directory to create")
-    p_shard_init.add_argument("--shards", type=int, required=True,
+    p_shard_init.add_argument("--shards", type=positive_int, required=True,
                               help="number of shards")
     p_shard_init.set_defaults(func=cmd_shard_init)
 

@@ -151,7 +151,7 @@ def changed_entries(
 
     Compares the entries *sma* holds from index *first* on: validity
     everywhere, value bytes where valid.  A stale value behind an
-    invalid flag counts as equal.
+    invalid flag counts as equal; an entry past the file's end differs.
     """
     stored = sma.values(charge=False)[first : first + len(values)]
     held = len(stored)
@@ -162,13 +162,14 @@ def changed_entries(
         stored_valid = mask[first : first + held]
     fresh, fresh_valid = values[:held], valid[:held]
     if stored.dtype != fresh.dtype:
-        return np.arange(held)
+        return np.arange(len(values))
     width = fresh.dtype.itemsize
     same = (
         stored.view(np.uint8).reshape(held, width)
         == fresh.view(np.uint8).reshape(held, width)
     ).all(axis=1)
-    return np.flatnonzero((stored_valid != fresh_valid) | (fresh_valid & ~same))
+    differs = (stored_valid != fresh_valid) | (fresh_valid & ~same)
+    return np.concatenate([np.flatnonzero(differs), np.arange(held, len(values))])
 
 
 def build_group_file(
@@ -232,6 +233,8 @@ def build_sma_set(
                 f"SMA {definition.name!r} is defined on "
                 f"{definition.table_name!r}, not {table.name!r}"
             )
+        if "__" in definition.name:  # file names put "__" before a group key
+            raise SmaDefinitionError(f"SMA name {definition.name!r} contains '__'")
         definition.validate(table.schema)
 
     page_size = page_size if page_size is not None else table.layout.page_size

@@ -12,7 +12,8 @@ the table's ingest lock:
    for inserts, the trailing bucket's raw bytes);
 3. write the data pages and advance/recompute the **SMA entries**
    through :class:`~repro.core.maintenance.SmaMaintainer` — the paper's
-   "at most one additional page access" incremental maintenance;
+   "at most one additional page access" incremental maintenance; the
+   maintainer ends by writing each changed SMA-file's meta sidecar once;
 4. flush the heap sidecars, bump the table's **ingest epoch** — the
    moment new readers see the batch — and only then **retire the
    intent** (so a crash before the epoch persists still leaves the

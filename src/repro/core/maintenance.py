@@ -8,22 +8,25 @@ needed for an updated tuple."
 :class:`SmaMaintainer` keeps one or more SMA sets in sync with their
 table across inserts, updates and deletes, by one rule: after the heap
 write, the touched buckets' entries are recomputed by the builder's own
-kernel (:func:`~repro.core.builder.accumulate`), and an entry is written
-only when its bytes or its validity differ from the stored one.  A
-maintained SMA-file therefore equals a fresh build of the same heap
-because it is the same code, and each changed entry costs one page
-write — the paper's "at most one additional page access".
+kernel (:func:`~repro.core.builder.accumulate`), and each file gets one
+:meth:`~repro.core.sma_file.SmaFile.write_entries` call with the
+entries whose bytes or validity differ from the stored ones, plus any
+past its end.  A maintained SMA-file therefore equals a fresh build of
+the same heap because it is the same code, and each changed entry costs
+one page write — the paper's "at most one additional page access".
 
 * **insert** — new tuples top up the trailing bucket (time-of-creation
   clustering falls out of this) and then fill fresh buckets; the
   topped-up bucket and every new one are refreshed.  The append has just
   written them through the buffer pool, so re-reading them is a hit.
-  Entries past a file's end are appended.
 * **update / delete** — min/max are not subtractable, so each bucket
   the operation rewrites is refreshed right after it is written.
 
-A group seen for the first time gets a new SMA-file whose other entries
-read as absent.
+A group seen for the first time gets a new SMA-file, built once with
+its final entries (absent outside the refreshed buckets), and its set's
+manifest is saved at once.  Each batch ends by flushing — also when it
+is cut short by an error — so every changed file writes its meta
+sidecar once.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class SmaMaintainer:
             sma_set.invalidate_hierarchies()
 
     def _refresh(self, buckets: range) -> None:
-        """Bring every SMA entry of *buckets* to what a fresh build holds."""
-        num_buckets = self.table.num_buckets
+        """Bring every SMA entry of *buckets* to what a fresh build holds:
+        one :meth:`~repro.core.sma_file.SmaFile.write_entries` per file."""
         first = buckets.start
         for sma_set in self.sma_sets:
             fresh = accumulate(self.table, list(sma_set.definitions.values()), buckets)
@@ -71,26 +74,31 @@ class SmaMaintainer:
                 for key in sorted(files.keys() | accumulator.groups.keys(), key=repr):
                     values, valid = accumulator.arrays_for(key)
                     sma = files.get(key)
-                    if sma is None:
-                        files[key] = sma = build_group_file(
-                            sma_set,
-                            accumulator.definition,
-                            key,
-                            *absent_entries(
-                                accumulator.definition.aggregate.kind,
-                                accumulator.value_dtype,
-                                num_buckets,
-                            ),
+                    if sma is None:  # a new group: absent outside *buckets*
+                        definition = accumulator.definition
+                        full_values, full_valid = absent_entries(
+                            definition.aggregate.kind,
+                            accumulator.value_dtype,
+                            self.table.num_buckets,
+                        )
+                        full_values[first : first + len(values)] = values
+                        full_valid[first : first + len(values)] = valid
+                        files[key] = build_group_file(
+                            sma_set, definition, key, full_values, full_valid,
                             self.table.layout.page_size,
                         )
-                        sma_set.save()
-                    for offset in changed_entries(sma, first, values, valid):
-                        sma.set_entry(
-                            first + offset, values[offset], valid=bool(valid[offset])
-                        )
-                    held = sma.num_entries - first
-                    if held < len(values):
-                        sma.append_entries(values[held:], valid[held:])
+                        sma_set.save()  # list it before anything else can fail
+                        continue
+                    offsets = changed_entries(sma, first, values, valid)
+                    sma.write_entries(first + offsets, values[offsets], valid[offsets])
+
+    def _flush(self) -> None:
+        """End a batch, also one cut short by an error: each changed
+        SMA-file writes its meta sidecar once (over the bytes it meant
+        to write, so a torn file still fails its checksum on reopen)."""
+        for sma_set in self.sma_sets:
+            for sma in sma_set.all_files():
+                sma.flush()
 
     def insert(self, records: np.ndarray) -> None:
         """Append *records* and refresh every bucket they landed in."""
@@ -103,8 +111,11 @@ class SmaMaintainer:
             < self.table.layout.tuples_per_bucket
         ):
             first -= 1  # the trailing bucket has room: it is topped up
-        self.table.append_batch(records)
-        self._refresh(range(first, self.table.num_buckets))
+        try:
+            self.table.append_batch(records)
+            self._refresh(range(first, self.table.num_buckets))
+        finally:
+            self._flush()
 
     def update_where(
         self, predicate: Predicate, assignments: dict[str, object]
@@ -145,13 +156,16 @@ class SmaMaintainer:
         self._before_mutation()
         bound = predicate.bind(self.table.schema)
         matched = 0
-        for bucket_no in range(self.table.num_buckets):
-            records = self.table.read_bucket(bucket_no)
-            mask = bound.evaluate(records)
-            hits = int(mask.sum())
-            if not hits:
-                continue
-            self.table.heap.write_bucket(bucket_no, rewrite(records, mask))
-            self._refresh(range(bucket_no, bucket_no + 1))
-            matched += hits
+        try:
+            for bucket_no in range(self.table.num_buckets):
+                records = self.table.read_bucket(bucket_no)
+                mask = bound.evaluate(records)
+                hits = int(mask.sum())
+                if not hits:
+                    continue
+                self.table.heap.write_bucket(bucket_no, rewrite(records, mask))
+                self._refresh(range(bucket_no, bucket_no + 1))
+                matched += hits
+        finally:
+            self._flush()
         return matched

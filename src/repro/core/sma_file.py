@@ -18,6 +18,11 @@ every scan *charges* the buffer pool page-by-page, so cold/warm behaviour
 and sequential-read counts are exactly what a paged implementation would
 show.  One page holds ``page_size // value_width`` entries — e.g. 1024
 4-byte dates per 4 KB page, giving the paper's 1/1000 size ratio.
+
+Writes: :meth:`SmaFile.write_entries` is the one way entries change (the
+bulkload writes them all, DML maintenance those whose bytes moved), and
+:meth:`SmaFile.flush` then writes the meta sidecar — geometry and a
+CRC-32 over the body — once per batch, after the body bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.errors import (
     SmaIntegrityError,
     SmaStateError,
     StorageError,
-    TornWriteError,
     TransientIOError,
 )
 from repro.storage.buffer import BufferPool
@@ -75,7 +79,8 @@ class SmaFile:
         self.file_id = os.path.abspath(path)
         self._values = values
         self._valid = valid
-        self._closed = False
+        #: Entries changed since the meta sidecar was last written.
+        self._dirty = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -99,15 +104,12 @@ class SmaFile:
         """
         if os.path.exists(path):
             raise StorageError(f"{path} already exists")
-        sma = cls(
-            path,
-            np.ascontiguousarray(values),
-            None if valid is None else np.ascontiguousarray(valid, dtype=bool),
-            pool,
-            page_size,
-        )
-        sma._write_all()
-        sma._save_meta()
+        values = np.ascontiguousarray(values)
+        sma = cls(path, values[:0], None if valid is None else np.zeros(0, bool), pool, page_size)
+        open(path, "wb").close()
+        sma._dirty = True  # no meta sidecar yet, even for zero entries
+        sma.write_entries(np.arange(len(values)), values, valid)
+        sma.flush()
         return sma
 
     @classmethod
@@ -153,13 +155,11 @@ class SmaFile:
             # Pad so the declared geometry survives; the garbage values
             # are unreachable behind the corrupt gate.
             raw = raw.ljust(expected_len, b"\x00")
-        values = np.frombuffer(raw[: count * dtype.itemsize], dtype=dtype).copy()
+        valid_at = count * dtype.itemsize
+        values = np.frombuffer(raw[:valid_at], dtype=dtype).copy()
         valid = None
         if meta["has_validity"]:
-            valid_offset = count * dtype.itemsize
-            valid = np.frombuffer(
-                raw[valid_offset : valid_offset + count], dtype=np.bool_
-            ).copy()
+            valid = np.frombuffer(raw[valid_at : valid_at + count], np.bool_).copy()
         sma = cls(path, values, valid, pool, page_size)
         sma.corrupt_reason = corrupt
         return sma
@@ -196,37 +196,16 @@ class SmaFile:
             pages.append(injector.filter_read(path, page_no, chunk))
         return b"".join(pages)
 
-    def _serialize(self) -> bytes:
-        body = self._values.tobytes()
-        if self._valid is not None:
-            body += self._valid.tobytes()
-        return body
+    def flush(self) -> None:
+        """Write the meta sidecar if entries changed since the last one.
 
-    def _write_body(self, body: bytes) -> None:
-        """Persist the full body, honouring injected torn writes."""
-        injector = self.pool.fault_injector
-        if injector is not None:
-            cut = injector.torn_write_length(self.path, 0, len(body))
-            if cut is not None:
-                with open(self.path, "wb") as f:
-                    f.write(body[:cut])
-                self.pool.invalidate(self.file_id)
-                raise TornWriteError(
-                    f"injected torn write: {cut}/{len(body)} bytes of "
-                    f"SMA body reached {self.path}",
-                    path=self.path, page_no=0,
-                )
-        with open(self.path, "wb") as f:
-            f.write(body)
-
-    def _write_all(self) -> None:
-        body = self._serialize()
-        self._write_body(body)
-        for page_no in range(self.num_pages):
-            self.pool.stats.page_writes += 1
-            self.pool.invalidate(self.file_id, page_no)
-
-    def _save_meta(self) -> None:
+        Called after the body writes, once per file per DML batch: the
+        sidecar's CRC-32 covers the whole body, so a crash between the
+        two leaves a mismatch that reopening detects.
+        """
+        if not self._dirty:
+            return
+        valid = b"" if self._valid is None else self._valid.tobytes()
         meta = {
             "dtype": self._values.dtype.str,
             "num_entries": int(len(self._values)),
@@ -234,15 +213,12 @@ class SmaFile:
             "page_size": self.page_size,
             "format_version": FORMAT_VERSION,
             "checksum_algo": ALGORITHM,
-            "checksum": compute_checksum(self._serialize()),
+            "checksum": compute_checksum(self._values.tobytes() + valid),
         }
-        # Atomic: the DML maintainer rewrites metas on every batch, and a
-        # crash mid-write must never leave a garbled sidecar — ``open``
-        # has no tolerant path for those.
+        # Atomic: a crash mid-write must never leave a garbled sidecar —
+        # ``open`` has no tolerant path for those.
         write_atomic(self.path + _META_SUFFIX, json.dumps(meta).encode())
-
-    def close(self) -> None:
-        self._closed = True
+        self._dirty = False
 
     def delete_files(self) -> None:
         self.pool.invalidate(self.file_id)
@@ -250,7 +226,6 @@ class SmaFile:
             target = self.path + suffix
             if os.path.exists(target):
                 os.remove(target)
-        self._closed = True
 
     # ------------------------------------------------------------------
     # geometry
@@ -275,8 +250,6 @@ class SmaFile:
     @property
     def num_pages(self) -> int:
         """Pages the file occupies (what the paper's size table reports)."""
-        if self.size_bytes == 0:
-            return 0
         return (self.size_bytes + self.page_size - 1) // self.page_size
 
     @property
@@ -291,22 +264,20 @@ class SmaFile:
     def is_corrupt(self) -> bool:
         return self.corrupt_reason is not None
 
-    def _check_integrity(self) -> None:
+    def ensure_readable(self) -> None:
+        """Raise :class:`~repro.errors.SmaIntegrityError` if corrupt.
+
+        Every value access and write checks this; the planner probes
+        required SMA-files with it before binding a plan to them, so a
+        damaged file causes heap fallback at planning time instead of a
+        failure mid-execution.
+        """
         if self.corrupt_reason is not None:
             raise SmaIntegrityError(
                 f"SMA-file {self.path} failed verification: "
                 f"{self.corrupt_reason}",
                 path=self.path,
             )
-
-    def ensure_readable(self) -> None:
-        """Raise :class:`~repro.errors.SmaIntegrityError` if corrupt.
-
-        The planner probes required SMA-files with this before binding a
-        plan to them, so a damaged file causes heap fallback at planning
-        time instead of a failure mid-execution.
-        """
-        self._check_integrity()
 
     # ------------------------------------------------------------------
     # reads
@@ -324,7 +295,7 @@ class SmaFile:
         unit per entry unless ``charge=False`` (used by the planner for
         free re-reads it has already accounted, and by tests).
         """
-        self._check_integrity()
+        self.ensure_readable()
         if charge and self.num_pages:
             self._charge_pages(0, self.num_pages - 1)
             self.pool.stats.sma_entries_read += self.num_entries
@@ -334,7 +305,7 @@ class SmaFile:
 
     def valid_mask(self, *, charge: bool = False) -> np.ndarray | None:
         """Validity vector, or None when every entry is defined."""
-        self._check_integrity()
+        self.ensure_readable()
         if self._valid is None:
             return None
         if charge:
@@ -345,7 +316,7 @@ class SmaFile:
 
     def value_at(self, index: int, *, charge: bool = True) -> object:
         """Random access to one entry (charges a single-page access)."""
-        self._check_integrity()
+        self.ensure_readable()
         if not 0 <= index < self.num_entries:
             raise SmaStateError(f"entry {index} out of range [0, {self.num_entries})")
         if charge:
@@ -356,7 +327,7 @@ class SmaFile:
 
     def read_range(self, first: int, last: int, *, charge: bool = True) -> np.ndarray:
         """Entries [first, last] inclusive (hierarchical SMAs drill down)."""
-        self._check_integrity()
+        self.ensure_readable()
         if not 0 <= first <= last < self.num_entries:
             raise SmaStateError(
                 f"range [{first}, {last}] out of [0, {self.num_entries})"
@@ -372,7 +343,7 @@ class SmaFile:
 
     def valid_range(self, first: int, last: int) -> np.ndarray | None:
         """Validity of entries [first, last], or None if all defined."""
-        self._check_integrity()
+        self.ensure_readable()
         if self._valid is None:
             return None
         if not 0 <= first <= last < self.num_entries:
@@ -384,79 +355,82 @@ class SmaFile:
         return view
 
     # ------------------------------------------------------------------
-    # maintenance writes (Section 2.1: "At most one additional page
-    # access is needed for an updated tuple.")
+    # writes (Section 2.1: "At most one additional page access is needed
+    # for an updated tuple.")
     # ------------------------------------------------------------------
 
-    def _rewrite_entry_on_disk(self, index: int) -> None:
-        with open(self.path, "r+b") as f:
-            f.seek(index * self.value_width)
-            f.write(self._values[index : index + 1].tobytes())
-            if self._valid is not None:
-                f.seek(self.num_entries * self.value_width + index)
-                f.write(self._valid[index : index + 1].tobytes())
-        page_no = index * self.value_width // self.page_size
-        self.pool.stats.page_writes += 1
-        self.pool.invalidate(self.file_id, page_no)
-
-    def set_entry(self, index: int, value: object, valid: bool = True) -> None:
-        """Overwrite one entry in place — the one-page update of §2.1."""
-        self._check_integrity()
-        if not 0 <= index < self.num_entries:
-            raise SmaStateError(f"entry {index} out of range [0, {self.num_entries})")
-        self._values[index] = value
-        if self._valid is not None:
-            self._valid[index] = valid
-            self._rewrite_entry_on_disk(index)
-        elif valid:
-            self._rewrite_entry_on_disk(index)
-        else:
-            # The first undefined entry adds a validity vector after the
-            # values: the whole vector must reach the disk, not one byte.
-            self._valid = np.ones(self.num_entries, dtype=bool)
-            self._valid[index] = False
-            self._write_all()
-        self._save_meta()
-
-    def append_entries(
-        self, values: np.ndarray, valid: np.ndarray | None = None
+    def write_entries(
+        self, indices: np.ndarray, values: np.ndarray, valid: np.ndarray | None = None
     ) -> None:
-        """Extend the file when new buckets are appended to the relation.
+        """Set entries *indices* (increasing) to *values* and *valid*.
 
-        The body rewrite happens *before* the meta sidecar update, so a
-        crash (or injected torn write) in between leaves the old
-        checksum against the new partial body — detectable on reopen and
-        repairable by rebuilding from the heap.
+        Indices at or past the end extend the file contiguously;
+        ``valid=None`` means all defined.  The first undefined entry
+        adds the validity vector, and growth moves it (it follows the
+        values).  Memory changes first, then each contiguous run of
+        changed body bytes is written in place through the fault
+        injector's torn-write hook, charging one page write per page it
+        covers.  The meta sidecar waits for :meth:`flush`.
         """
-        self._check_integrity()
+        self.ensure_readable()
+        indices = np.asarray(indices, dtype=np.int64)
+        if not len(indices):
+            return
         if values.dtype != self._values.dtype:
+            raise SmaStateError(f"entry dtype {values.dtype} != file dtype {self._values.dtype}")
+        old_count = self.num_entries
+        count = max(old_count, int(indices[-1]) + 1)
+        grown = count - old_count
+        increasing = (indices[1:] > indices[:-1]).all()
+        if indices[0] < 0 or not increasing or (indices >= old_count).sum() != grown:
             raise SmaStateError(
-                f"appended dtype {values.dtype} != file dtype {self._values.dtype}"
+                f"entries {indices[0]}..{indices[-1]} do not increase within "
+                f"[0, {old_count}) or extend it contiguously"
             )
-        had_valid = self._valid is not None
-        if had_valid and valid is None:
-            valid = np.ones(len(values), dtype=bool)
-        if not had_valid and valid is not None and not valid.all():
-            self._valid = np.ones(self.num_entries, dtype=bool)
-            had_valid = True
-        self._values = np.concatenate([self._values, values])
-        if self._valid is not None:
-            appended = (
-                np.ones(len(values), dtype=bool) if valid is None else valid.astype(bool)
-            )
-            self._valid = np.concatenate([self._valid, appended])
-        # Rewrite the whole file: validity sits after the values, so an
-        # append moves it.  Charge only the genuinely touched tail pages
-        # for the values (the paper's cheap-append), plus the tiny
-        # validity region when present.
-        old_pages = self.num_pages
-        body = self._serialize()
-        self._write_body(body)
-        first_touched = max(0, old_pages - 1)
-        for page_no in range(first_touched, self.num_pages):
+        # New arrays, published whole: a reader sees old or new entries.
+        valid = np.ones(len(indices), dtype=bool) if valid is None else valid
+        new_values = np.concatenate([self._values, np.zeros(grown, self._values.dtype)])
+        new_values[indices] = values
+        new_valid, placed = self._valid, grown > 0 and self._valid is not None
+        if new_valid is None and not valid.all():
+            new_valid, placed = np.ones(old_count, dtype=bool), True
+        if new_valid is not None:
+            new_valid = np.concatenate([new_valid, np.ones(grown, dtype=bool)])
+            new_valid[indices] = valid
+        self._values, self._valid, self._dirty = new_values, new_valid, True
+
+        # One byte run per run of consecutive indices, for the values and
+        # for the validity vector (whole when it is placed or moved).
+        width, valid_at, size = self.value_width, count * self.value_width, self.page_size
+        cuts = np.flatnonzero(np.diff(indices) != 1) + 1
+        ends = (indices[np.concatenate((cuts - 1, [-1]))] + 1).tolist()
+        spans = list(zip(indices[np.concatenate(([0], cuts))].tolist(), ends))
+        pieces = [(a * width, new_values[a:b].tobytes()) for a, b in spans]
+        if placed:
+            pieces.append((valid_at, new_valid.tobytes()))
+        elif new_valid is not None:
+            pieces += [(valid_at + a, new_valid[a:b].tobytes()) for a, b in spans]
+        runs: list[tuple[int, bytes]] = []  # adjacent pieces are one write
+        for offset, data in pieces:
+            if runs and runs[-1][0] + len(runs[-1][1]) == offset:
+                offset, data = runs[-1][0], runs.pop()[1] + data
+            runs.append((offset, data))
+        pages = {p for a, d in runs for p in range(a // size, (a + len(d) - 1) // size + 1)}
+        for page_no in sorted(pages):
             self.pool.stats.page_writes += 1
             self.pool.invalidate(self.file_id, page_no)
-        self._save_meta()
+        injector = self.pool.fault_injector
+        with open(self.path, "r+b") as f:
+
+            def write_at(offset: int, data: bytes) -> None:
+                f.seek(offset)
+                f.write(data)
+
+            for offset, data in runs:
+                if injector is None:
+                    write_at(offset, data)
+                else:
+                    injector.tear(self.path, offset // size, offset, data, write_at)
 
     def __repr__(self) -> str:
         return (

@@ -57,8 +57,15 @@ _META_FILE = "smaset.json"
 
 
 def _safe_fragment(text: str) -> str:
-    """File-name-safe rendering of a group key part."""
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", text)
+    """File-name-safe, injective rendering of a group key part: every
+    UTF-8 byte outside ``[A-Za-z0-9.-]``, ``_`` and ``%`` included, is
+    ``%XX``, so ``_`` can join a key's parts (``'REG AIR'`` is
+    ``REG%20AIR``, ``'REG_AIR'`` is ``REG%5FAIR``)."""
+    return re.sub(
+        rb"[^A-Za-z0-9.-]",
+        lambda match: b"%%%02X" % match.group()[0],
+        text.encode(),
+    ).decode("ascii")
 
 
 class SmaSet:
@@ -133,8 +140,8 @@ class SmaSet:
                 }
             )
         meta = {"name": self.name, "table": self.table.name, "definitions": definitions}
-        # Atomic: the DML maintainer saves after every batch; a crash
-        # mid-write must not garble the set manifest.
+        # Atomic: the DML maintainer saves after a batch that adds a
+        # file; a crash mid-write must not garble the set manifest.
         write_atomic(
             os.path.join(self.directory, _META_FILE),
             json.dumps(meta, indent=1).encode(),
@@ -169,11 +176,6 @@ class SmaSet:
             }
             sma_set.add_materialized(definition, files)
         return sma_set
-
-    def close(self) -> None:
-        for files in self._files.values():
-            for sma in files.values():
-                sma.close()
 
     # ------------------------------------------------------------------
     # inventory
@@ -299,16 +301,6 @@ class SmaSet:
     def project_group_key(key: GroupKey, projection: tuple[int, ...]) -> GroupKey:
         """Roll a finer group key up to the query's grouping."""
         return tuple(key[i] for i in projection)
-
-    def find_definition(
-        self, spec: AggregateSpec, group_by: tuple[str, ...]
-    ) -> SmaDefinition | None:
-        for definition in self.definitions.values():
-            if definition.name in self.quarantined:
-                continue
-            if definition.matches(spec, group_by):
-                return definition
-        return None
 
     # ------------------------------------------------------------------
     # hierarchical SMAs (Section 4)

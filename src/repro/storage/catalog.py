@@ -329,9 +329,6 @@ class Catalog:
     def close(self) -> None:
         for table in self._tables.values():
             table.heap.close()
-        for by_name in self._sma_sets.values():
-            for sma_set in by_name.values():
-                sma_set.close()
 
     def __enter__(self) -> "Catalog":
         return self

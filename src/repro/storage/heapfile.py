@@ -239,6 +239,16 @@ class HeapFile:
                 f"bucket {bucket_no} out of range [0, {self.num_buckets})"
             )
 
+    def _check_records(self, records: np.ndarray) -> None:
+        """Refuse records of another schema, or more than one bucket holds."""
+        if records.dtype != self.schema.record_dtype:
+            raise StorageError("record dtype does not match schema")
+        if len(records) > self.layout.tuples_per_bucket:
+            raise StorageError(
+                f"{len(records)} records exceed bucket capacity "
+                f"{self.layout.tuples_per_bucket}"
+            )
+
     # ------------------------------------------------------------------
     # page primitives
     # ------------------------------------------------------------------
@@ -415,13 +425,7 @@ class HeapFile:
         to grow the file).
         """
         self._check_bucket(bucket_no)
-        if records.dtype != self.schema.record_dtype:
-            raise StorageError("record dtype does not match schema")
-        if len(records) > self.layout.tuples_per_bucket:
-            raise StorageError(
-                f"{len(records)} records exceed bucket capacity "
-                f"{self.layout.tuples_per_bucket}"
-            )
+        self._check_records(records)
         self.invalidate_decoded(bucket_no)
         tpp = self.layout.tuples_per_page
         first = bucket_no * self.layout.pages_per_bucket
@@ -482,17 +486,8 @@ class HeapFile:
             offset = take
 
         # Then write whole new buckets.
-        while offset < len(records):
-            chunk = records[offset : offset + per_bucket]
-            bucket_no = self.num_buckets
-            self._bucket_counts = np.append(self._bucket_counts, 0)
-            tpp = self.layout.tuples_per_page
-            first = bucket_no * self.layout.pages_per_bucket
-            for j in range(self.layout.pages_per_bucket):
-                page_chunk = chunk[j * tpp : (j + 1) * tpp]
-                self._write_page(first + j, page_chunk)
-            self._bucket_counts[bucket_no] = len(chunk)
-            offset += len(chunk)
+        for start in range(offset, len(records), per_bucket):
+            self.append_bucket(records[start : start + per_bucket])
 
     def append_bucket(self, records: np.ndarray) -> None:
         """Append *records* as one new bucket, never topping up the last.
@@ -503,20 +498,9 @@ class HeapFile:
         copies buckets between catalogs with this method so every SMA
         entry keeps describing the same tuples on both sides.
         """
-        if records.dtype != self.schema.record_dtype:
-            raise StorageError("record dtype does not match schema")
-        if len(records) > self.layout.tuples_per_bucket:
-            raise StorageError(
-                f"{len(records)} records exceed bucket capacity "
-                f"{self.layout.tuples_per_bucket}"
-            )
-        bucket_no = self.num_buckets
+        self._check_records(records)
         self._bucket_counts = np.append(self._bucket_counts, 0)
-        tpp = self.layout.tuples_per_page
-        first = bucket_no * self.layout.pages_per_bucket
-        for j in range(self.layout.pages_per_bucket):
-            self._write_page(first + j, records[j * tpp : (j + 1) * tpp])
-        self._bucket_counts[bucket_no] = len(records)
+        self.write_bucket(self.num_buckets - 1, records)
 
     def append_rows(self, rows: list) -> None:
         """Convenience: append Python row tuples (slow path for tests)."""
@@ -532,12 +516,3 @@ class HeapFile:
         if self.num_buckets == 0:
             return self.schema.empty_batch()
         return np.concatenate([records for _, records in self.iter_buckets()])
-
-    def delete_files(self) -> None:
-        """Remove the data file and its sidecars from disk."""
-        self.close()
-        self.pool.invalidate(self.file_id)
-        for suffix in ("", _META_SUFFIX, _COUNTS_SUFFIX):
-            target = self.path + suffix
-            if os.path.exists(target):
-                os.remove(target)

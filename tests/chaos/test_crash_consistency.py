@@ -1,11 +1,11 @@
 """Crash consistency of SMA maintenance appends (satellite c).
 
-:meth:`SmaFile.append_entries` writes the body before the meta sidecar,
-so a crash between the two — simulated with an injected torn write —
-leaves the old checksum against a new, partial body.  The contract: the
-reopened catalog *detects* the damage (never serves it), ``repro verify``
-flags it, and ``--repair`` rebuilds the tail from the heap so SMAs and
-heap agree again.
+:meth:`SmaFile.write_entries` writes the body before :meth:`SmaFile.flush`
+writes the meta sidecar, so a crash between the two — simulated with an
+injected torn write — leaves the old checksum against a new, partial
+body.  The contract: the reopened catalog *detects* the damage (never
+serves it), ``repro verify`` flags it, and ``--repair`` rebuilds the
+tail from the heap so SMAs and heap agree again.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """Tests for incremental SMA maintenance under insert/update/delete."""
 
 import datetime
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import AggregateKind, SmaFile, SmaMaintainer
 from repro.core.builder import accumulate
+from repro.core.ingest import apply_dml
 from repro.errors import SmaStateError
 from repro.lang import cmp
+from repro.sql.parser import parse_statement
 
 from tests.conftest import BASE_DATE, SALES_SCHEMA, brute_force_partition_check
 
@@ -232,3 +235,128 @@ class TestGuards:
         num_files = 6  # smin smax cnt(A,R) sqty(A,R)
         pages_per_bucket = sales_table.layout.pages_per_bucket
         assert catalog.stats.page_writes <= pages_per_bucket + num_files
+
+
+def sma_bodies(sma_set):
+    """Every SMA-file's body bytes on disk, keyed by path."""
+    bodies = {}
+    for sma in sma_set.all_files():
+        with open(sma.path, "rb") as f:
+            bodies[sma.path] = f.read()
+    return bodies
+
+
+class TestOneWritePerFile:
+    """Each changed SMA-file writes its meta sidecar once per batch, and
+    only the byte runs of its changed entries."""
+
+    @pytest.mark.parametrize("sql", [
+        "UPDATE SALES SET qty = 9.0 WHERE flag = 'A'",
+        "DELETE FROM SALES WHERE qty = 3.0",
+    ], ids=["update", "delete"])
+    def test_fsyncs_per_batch(self, catalog, sales_table, sales_sma_set, monkeypatch, sql):
+        # Four fixed fsyncs -- the intent, the heap meta, the heap counts
+        # and the catalog manifest -- plus one meta per changed SMA-file.
+        before = sma_bodies(sales_sma_set)
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+        outcome = apply_dml(catalog, parse_statement(sql))
+        monkeypatch.undo()
+        after = sma_bodies(sales_sma_set)
+        changed = sum(after[path] != body for path, body in before.items())
+        assert outcome.rows_affected > sales_table.layout.tuples_per_bucket
+        assert changed > 0
+        assert len(fsyncs) <= 4 + changed
+        assert_consistent(sales_table, sales_sma_set)
+
+    def test_bucket_opening_insert_keeps_leading_pages(
+        self, maintainer, sales_table, sales_sma_set, monkeypatch
+    ):
+        # A validity-free body grows by writing its changed tail only:
+        # nothing before the trailing entry is rewritten.
+        import builtins
+
+        from repro.core import sma_file
+
+        writes = []
+
+        class Recorder:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                writes.append((self._handle.name, self._handle.tell()))
+                return self._handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            handle = builtins.open(path, mode, *args, **kwargs)
+            return Recorder(handle) if path.endswith(".sma") and mode != "rb" else handle
+
+        first_kept = {
+            sma.path: (sma.num_entries - 1) * sma.value_width
+            for sma in sales_sma_set.all_files()
+            if sma.valid_mask() is None
+        }
+        monkeypatch.setattr(sma_file, "open", recording_open, raising=False)
+        maintainer.insert(fresh_rows(sales_table.layout.tuples_per_bucket + 5))
+        monkeypatch.undo()
+        assert {path for path, _ in writes} == set(first_kept)
+        for path, offset in writes:
+            assert offset >= first_kept[path] > 0, path
+        assert_consistent(sales_table, sales_sma_set)
+
+
+class TestCutShortBatch:
+    """A batch that raises part-way leaves every file it touched listed
+    and checksummed, so the catalog reopens clean and takes more DML."""
+
+    def test_update_adding_a_group_then_failing(
+        self, catalog, sales_table, sales_sma_set, monkeypatch
+    ):
+        from repro.core.verify import verify_catalog
+        from repro.query.session import Session
+        from repro.storage import Catalog
+
+        write_bucket = sales_table.heap.write_bucket
+        calls = []
+
+        def fail_second(bucket_no, records):
+            calls.append(bucket_no)
+            if len(calls) == 2:
+                raise OSError("injected: disk full")
+            return write_bucket(bucket_no, records)
+
+        monkeypatch.setattr(sales_table.heap, "write_bucket", fail_second)
+        # Bucket 0's refresh builds the new group 'Z'; bucket 1 fails.
+        with pytest.raises(OSError, match="injected"):
+            apply_dml(catalog, parse_statement("UPDATE SALES SET flag = 'Z' WHERE qty = 3.0"))
+        monkeypatch.undo()
+        catalog.close()
+
+        reopened = Catalog.discover(catalog.root_dir)
+        try:
+            (sma_set,) = reopened.sma_sets("SALES")
+            assert ("Z",) in sma_set.files_of("cnt")
+            assert not any(sma.is_corrupt for sma in sma_set.all_files())
+            apply_dml(reopened, parse_statement(
+                "INSERT INTO SALES VALUES (5000, DATE '1999-01-01', 2.5, 'Z')"
+            ))
+            assert verify_catalog(reopened).ok
+            assert verify_catalog(reopened, repair=True).ok
+            session = Session(reopened)
+            sql = "SELECT flag, COUNT(*) AS n, SUM(qty) AS s FROM SALES GROUP BY flag ORDER BY flag"
+            via_sma = session.sql(sql, mode="sma")
+            assert [row[0] for row in via_sma.rows] == ["A", "R", "Z"]
+            assert repr(via_sma.rows) == repr(session.sql(sql, mode="scan").rows)
+        finally:
+            reopened.close()

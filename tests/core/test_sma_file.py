@@ -132,41 +132,61 @@ class TestCharging:
             sma.values(charge=False)[0] = 1
 
 
+def write(sma, indices, values, valid=None):
+    """``write_entries`` with list arguments cast to the file's dtype."""
+    sma.write_entries(
+        np.asarray(indices), np.asarray(values, dtype=sma.values(charge=False).dtype),
+        None if valid is None else np.asarray(valid, dtype=bool),
+    )
+
+
 class TestMaintenanceWrites:
-    def test_set_entry_updates_value_and_disk(self, tmp_path, pool):
+    def test_write_entries_updates_value_and_disk(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
-        sma.set_entry(3, 99)
+        write(sma, [3], [99])
+        sma.flush()
         assert sma.value_at(3, charge=False) == 99
         reopened = SmaFile.open(sma.path, pool)
         assert reopened.value_at(3, charge=False) == 99
 
-    def test_set_entry_charges_one_page_write(self, tmp_path, pool):
+    def test_write_entries_charges_one_page_write(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
         pool.stats.reset()
-        sma.set_entry(3, 99)
+        write(sma, [3], [99])
         assert pool.stats.page_writes == 1
 
-    def test_set_entry_can_invalidate(self, tmp_path, pool):
+    def test_write_entries_charges_each_changed_page_once(self, tmp_path, pool):
+        sma = build(tmp_path, pool, np.arange(3000, dtype="<i4"))  # 3 pages
+        pool.stats.reset()
+        write(sma, [0, 1, 2, 2500], [7, 7, 7, 7])
+        assert pool.stats.page_writes == 2  # pages 0 and 2
+
+    def test_write_entries_can_invalidate(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
-        sma.set_entry(2, 0, valid=False)
+        write(sma, [2], [0], valid=[False])
         valid = sma.valid_mask()
         assert valid is not None and not valid[2] and valid[3]
 
     def test_first_invalid_entry_reopens_clean(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
-        sma.set_entry(2, 0, valid=False)
+        write(sma, [2], [0], valid=[False])
+        sma.flush()
         reopened = SmaFile.open(sma.path, pool)
         assert not reopened.is_corrupt
         np.testing.assert_array_equal(reopened.valid_mask(), sma.valid_mask())
 
-    def test_set_entry_out_of_range(self, tmp_path, pool):
+    def test_write_entries_out_of_range(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(4, dtype="<i4"))
-        with pytest.raises(SmaStateError):
-            sma.set_entry(4, 0)
+        # Negative, past the end with a gap, or not increasing.
+        for indices in ([-1], [5], [3, 2], [4, 6]):
+            with pytest.raises(SmaStateError):
+                write(sma, indices, [0] * len(indices))
+        assert sma.num_entries == 4
 
-    def test_append_entries(self, tmp_path, pool):
+    def test_append(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(5, dtype="<i4"))
-        sma.append_entries(np.array([10, 11], dtype="<i4"))
+        write(sma, [5, 6], [10, 11])
+        sma.flush()
         assert sma.num_entries == 7
         reopened = SmaFile.open(sma.path, pool)
         np.testing.assert_array_equal(
@@ -175,13 +195,32 @@ class TestMaintenanceWrites:
 
     def test_append_creates_validity_when_needed(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(3, dtype="<i4"))
-        sma.append_entries(
-            np.array([7], dtype="<i4"), valid=np.array([False])
-        )
+        write(sma, [3], [7], valid=[False])
         valid = sma.valid_mask()
         np.testing.assert_array_equal(valid, [True, True, True, False])
+
+    def test_append_moves_validity(self, tmp_path, pool):
+        valid = np.array([True, False, True])
+        sma = build(tmp_path, pool, np.arange(3, dtype="<i4"), valid=valid)
+        write(sma, [1, 3, 4], [5, 6, 7], valid=[True, False, True])
+        sma.flush()
+        reopened = SmaFile.open(sma.path, pool)
+        assert not reopened.is_corrupt
+        np.testing.assert_array_equal(reopened.values(charge=False)[[1, 3, 4]], [5, 6, 7])
+        np.testing.assert_array_equal(
+            reopened.valid_mask(), [True, True, True, False, True]
+        )
 
     def test_append_dtype_mismatch(self, tmp_path, pool):
         sma = build(tmp_path, pool, np.arange(3, dtype="<i4"))
         with pytest.raises(SmaStateError):
-            sma.append_entries(np.array([1.5]))
+            sma.write_entries(np.array([3]), np.array([1.5]))
+
+    def test_meta_waits_for_flush(self, tmp_path, pool):
+        # Body bytes land first; until the flush, the old meta's checksum
+        # no longer matches them — what a crash in between leaves.
+        sma = build(tmp_path, pool, np.arange(10, dtype="<i4"))
+        write(sma, [3], [99])
+        assert SmaFile.open(sma.path, pool).is_corrupt
+        sma.flush()
+        assert not SmaFile.open(sma.path, pool).is_corrupt

@@ -13,8 +13,11 @@ from repro.core import (
     minimum,
     total,
 )
-from repro.errors import CatalogError
+from repro.core.verify import verify_catalog
+from repro.errors import CatalogError, SmaDefinitionError
 from repro.lang import and_, cmp, col, or_
+from repro.query.session import Session
+from repro.storage import INT32, Schema, char
 
 from tests.conftest import BASE_DATE, brute_force_partition_check
 
@@ -174,10 +177,6 @@ class TestAggregateLookup:
     def test_expression_mismatch_returns_none(self, sales_sma_set):
         assert sales_sma_set.aggregate_files(total(col("id")), ("flag",)) is None
 
-    def test_find_definition(self, sales_sma_set):
-        found = sales_sma_set.find_definition(count_star(), ("flag",))
-        assert found is not None and found.name == "cnt"
-
     def test_inventory(self, sales_sma_set, sales_table):
         assert sales_sma_set.num_files == 6  # 2 ungrouped + 2x2 grouped
         assert sales_sma_set.total_pages >= 6
@@ -234,3 +233,50 @@ class TestCharging:
         catalog.reset_stats()
         sales_sma_set.partition(cmp("ship", "<=", mid()), charge=False)
         assert catalog.stats.page_reads == 0
+
+
+class TestFileNames:
+    SCHEMA = Schema.of(("id", INT32), ("mode", char(8)), ("part", char(4)))
+
+    def test_distinct_group_keys_get_distinct_files(self, catalog):
+        # 'REG AIR' and 'REG_AIR', or ('MAIL', 'A_B') and ('MAIL_A', 'B'),
+        # once rendered to one file name: the second group's file collided.
+        table = catalog.create_table("SHIPS", self.SCHEMA)
+        table.append_rows([(i, ("REG AIR", "MAIL")[i % 2], "A_B") for i in range(40)])
+        session = Session(catalog)
+        session.define_smas(
+            "define sma m select count(*) from SHIPS group by mode;"
+            "define sma p select count(*) from SHIPS group by mode, part",
+            set_name="modes",
+        )
+        session.sql("INSERT INTO SHIPS VALUES (40, 'REG_AIR', 'C')")
+        session.sql("INSERT INTO SHIPS VALUES (41, 'MAIL_A', 'B')")
+        session.sql("INSERT INTO SHIPS VALUES (42, 'MAIL', 'A_B')")
+
+        assert verify_catalog(catalog).ok
+        (sma_set,) = catalog.sma_sets("SHIPS")
+        paths = [sma.path for sma in sma_set.all_files()]
+        assert len(set(paths)) == len(paths) == 4 + 4
+        for sql in (
+            "SELECT mode, COUNT(*) AS n FROM SHIPS GROUP BY mode ORDER BY mode",
+            "SELECT mode, part, COUNT(*) AS n FROM SHIPS "
+            "GROUP BY mode, part ORDER BY mode, part",
+        ):
+            via_sma = session.sql(sql, mode="sma")
+            assert repr(via_sma.rows) == repr(session.sql(sql, mode="scan").rows)
+
+    def test_double_underscore_names_are_refused(self, catalog):
+        # An ungrouped 'm__A' and 'm' grouped on key ('A',) would share
+        # the file m__A.sma.
+        table = catalog.create_table("SHIPS", self.SCHEMA)
+        table.append_rows([(i, "A", "B") for i in range(4)])
+        with pytest.raises(SmaDefinitionError, match="'m__A' contains '__'"):
+            Session(catalog).define_smas(
+                "define sma m__A select count(*) from SHIPS;"
+                "define sma m select count(*) from SHIPS group by mode"
+            )
+        assert not catalog.sma_sets("SHIPS")
+
+    def test_single_letter_keys_keep_their_names(self, sales_sma_set):
+        assert sales_sma_set.file_path("cnt", ("A",)).endswith("cnt__A.sma")
+        assert sales_sma_set.file_path("cnt", ("A", "F")).endswith("cnt__A_F.sma")

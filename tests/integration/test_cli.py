@@ -78,7 +78,8 @@ class TestQuery:
 
 
 class TestCountOptions:
-    """A count below 1 is a usage error (exit 2), not an engine traceback."""
+    """A count below 1, or a scale, rate or timeout not above 0, is a
+    usage error (exit 2), not an engine traceback or a silent default."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("query", "--scan-workers", "0"),
@@ -86,13 +87,24 @@ class TestCountOptions:
         ("serve", "--workers", "0"),
         ("serve", "--queue", "-1"),
         ("serve", "--clients", "0"),
+        ("serve", "--cache-entries", "0"),
+        ("serve", "--shards", "0"),
+        ("shard-init", "--shards", "0"),
+        ("load", "--sf", "0"),
+        ("serve", "--rate", "-1"),
+        ("serve", "--timeout", "0"),
+        ("serve", "--timeout", "-1"),
     ])
     def test_rejected_by_the_parser(self, db, capsys, command, flag, value):
-        sql = ["SELECT COUNT(*) AS n FROM LINEITEM"] if command == "query" else []
+        extra = {
+            "query": ["SELECT COUNT(*) AS n FROM LINEITEM"],
+            "shard-init": ["--out", db + "-sharded"],
+        }.get(command, [])
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--db", db, flag, value, *sql])
+            main([command, "--db", db, flag, value, *extra])
         assert exit_info.value.code == 2
-        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        bound = "> 0" if flag in ("--sf", "--rate", "--timeout") else ">= 1"
+        assert f"argument {flag}: must be {bound}, got {value}" in capsys.readouterr().err
 
 
 class TestExplain:

@@ -81,7 +81,8 @@ class TestStaleSmaDetection:
         min_file = sales_sma_set.files_of("smin")[()]
         max_file = sales_sma_set.files_of("smax")[()]
         true_max = max_file.values(charge=False)[0]
-        min_file.set_entry(0, true_max + 10_000)  # min beyond max: stale
+        stale = np.asarray([true_max + 10_000], dtype=true_max.dtype)
+        min_file.write_entries(np.array([0]), stale)  # min beyond max: stale
 
         predicate = cmp(
             "ship", "<=", BASE_DATE + datetime.timedelta(days=5)

@@ -177,12 +177,3 @@ class TestAccounting:
         with pytest.raises(ValueError):
             counts[0] = 99
 
-    def test_delete_files(self, tmp_path, schema, pool):
-        import os
-
-        path = str(tmp_path / "gone.heap")
-        heap = HeapFile.create(path, schema, pool)
-        heap.append_batch(make_batch(schema, 5))
-        heap.delete_files()
-        assert not os.path.exists(path)
-        assert not os.path.exists(path + ".meta.json")
